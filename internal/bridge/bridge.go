@@ -9,10 +9,14 @@
 // Pipeline (ToLWE):
 //
 //  1. SlotToCoeff: homomorphically apply the encoding matrix V so each
-//     slot value moves into a polynomial coefficient. The transform's
-//     rotations are hoisted: one digit decomposition of the input is shared
-//     by every diagonal (ckks.EvalLinearTransform), so the bridge pays one
-//     ModUp instead of one per rotation.
+//     slot value moves into a polynomial coefficient. The transform is
+//     double-hoisted (ckks.EvalLinearTransform): one digit decomposition of
+//     the input is shared by every diagonal, each diagonal's keyswitch
+//     product is multiplied by its plaintext and summed over Q·P, and one
+//     ModDown pair closes the sum, so the bridge pays one ModUp and one
+//     ModDown pair instead of one of each per rotation. V's plaintexts are
+//     encoded on the first ToLWE and cached in the transform, which
+//     concurrent ToLWE calls share.
 //  2. Level drop to the last CKKS modulus q0.
 //  3. LWE extraction: coefficient j of an RLWE ciphertext is an LWE sample
 //     of dimension N under the CKKS ring key.

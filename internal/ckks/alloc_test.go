@@ -5,6 +5,7 @@
 package ckks
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -126,5 +127,41 @@ func TestRotateHoistedAllocFree(t *testing.T) {
 		ctx.Recycle(outs[0])
 	}); n != 0 {
 		t.Errorf("warm RotateHoistedInto+Recycle allocates %.1f per op, want 0", n)
+	}
+}
+
+// TestLinearTransformAllocFree pins a warm double-hoisted transform: the
+// plaintexts come from the transform's cache and every polynomial from the
+// arenas, so a call allocates nothing polynomial-sized (one limb is N words).
+func TestLinearTransformAllocFree(t *testing.T) {
+	ctx, ev, ct1, _ := allocEvaluator(t)
+	slots := ctx.Params.Slots()
+	lt := &LinearTransform{Diags: map[int][]complex128{0: make([]complex128, slots), 1: make([]complex128, slots)}}
+	for j := 0; j < slots; j++ {
+		lt.Diags[0][j] = complex(0.5, 0)
+		lt.Diags[1][j] = complex(float64(j%3)/3, 0)
+	}
+	enc := NewEncoder(ctx)
+	eval := func() {
+		out, err := ev.EvalLinearTransform(ct1, lt, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Recycle(out)
+	}
+	eval() // warm: fills the cache and the arenas
+	const runs = 20
+	if n := testing.AllocsPerRun(runs, eval); n != 0 {
+		t.Errorf("warm EvalLinearTransform+Recycle allocates %.1f per op, want 0", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	limb := uint64(ctx.Params.N() * 8)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= limb {
+		t.Errorf("warm EvalLinearTransform allocates %d B per op, want under one limb (%d B)", b, limb)
 	}
 }

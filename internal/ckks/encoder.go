@@ -43,18 +43,35 @@ func NewEncoder(ctx *Context) *Encoder {
 // Encode packs values (≤ N/2 complex slots, zero-padded) into a fresh
 // coefficient-domain polynomial at the given level and scale.
 func (e *Encoder) Encode(values []complex128, level int, scale float64) (*ring.Poly, error) {
+	p := e.ctx.RQ.NewPoly(level)
+	if err := e.encodeInto(values, scale, level, p, nil); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// encodeInto runs the inverse embedding and one rounding pass, writing each
+// rounded coefficient into pQ (levels 0..level over Q) and, when pP is not
+// nil, the same integer into every limb of pP over P — so the two halves
+// are one plaintext over Q·P.
+func (e *Encoder) encodeInto(values []complex128, scale float64, level int, pQ, pP *ring.Poly) error {
 	if len(values) > e.n {
-		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), e.n)
+		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), e.n)
 	}
 	w := make([]complex128, e.n)
 	copy(w, values)
 	e.specialIFFT(w)
-	p := e.ctx.RQ.NewPoly(level)
+	rq, rp := e.ctx.RQ, e.ctx.RP
 	for j := 0; j < e.n; j++ {
-		e.setCoeff(p, j, math.Round(real(w[j])*scale), level)
-		e.setCoeff(p, j+e.n, math.Round(imag(w[j])*scale), level)
+		re, im := math.Round(real(w[j])*scale), math.Round(imag(w[j])*scale)
+		setCoeff(rq, pQ, j, re, level)
+		setCoeff(rq, pQ, j+e.n, im, level)
+		if pP != nil {
+			setCoeff(rp, pP, j, re, rp.MaxLevel())
+			setCoeff(rp, pP, j+e.n, im, rp.MaxLevel())
+		}
 	}
-	return p, nil
+	return nil
 }
 
 // Decode reads slots back from a coefficient-domain polynomial.
@@ -69,17 +86,18 @@ func (e *Encoder) Decode(p *ring.Poly, level int, scale float64) []complex128 {
 	return w
 }
 
-// setCoeff writes the signed value v into coefficient j across levels 0..level.
-func (e *Encoder) setCoeff(p *ring.Poly, j int, v float64, level int) {
+// setCoeff writes the signed value v into coefficient j of p across levels
+// 0..level of r.
+func setCoeff(r *ring.Ring, p *ring.Poly, j int, v float64, level int) {
 	neg := v < 0
 	abs := uint64(math.Abs(v))
 	for i := 0; i <= level; i++ {
-		q := e.ctx.RQ.Moduli[i]
-		r := e.ctx.RQ.SubRings[i].ReduceWord(abs)
-		if neg && r != 0 {
-			r = q - r
+		q := r.Moduli[i]
+		res := r.SubRings[i].ReduceWord(abs)
+		if neg && res != 0 {
+			res = q - res
 		}
-		p.Coeffs[i][j] = r
+		p.Coeffs[i][j] = res
 	}
 }
 
@@ -201,7 +219,7 @@ func (e *Encoder) encodeDirect(values []complex128, level int, scale float64) *r
 			acc += values[k] * e.roots[(e.m-(j*pk)%e.m)%e.m]
 		}
 		v := math.Round(real(acc) * scale / float64(e.n))
-		e.setCoeff(p, j, v, level)
+		setCoeff(e.ctx.RQ, p, j, v, level)
 	}
 	return p
 }

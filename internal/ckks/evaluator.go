@@ -178,19 +178,25 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *ring.Poly) *Ciphertext {
 }
 
 // MulPlain returns ct ⊙ pt (the paper's Pmult). The output scale is the
-// product of the two scales; the caller typically rescales afterwards.
+// product of the two scales; the caller typically rescales afterwards. pt is
+// transformed once and shared by both components.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *ring.Poly, ptScale float64) *Ciphertext {
-	ctx := ev.ctx
+	rq := ev.ctx.RQ
 	level := ct.Level
-	out := &Ciphertext{
-		B:     ctx.RQ.NewPoly(level),
-		A:     ctx.RQ.NewPoly(level),
-		Level: level,
-		Scale: ct.Scale * ptScale,
-	}
-	ctx.RQ.MulPoly(level, ct.B, pt, out.B)
-	ctx.RQ.MulPoly(level, ct.A, pt, out.A)
-	return out
+	ptN := rq.Borrow(level)
+	rq.CopyLevel(level, pt, ptN)
+	rq.NTT(level, ptN)
+	out := ev.ctx.borrowCt(level, ct.Scale*ptScale)
+	rq.CopyLevel(level, ct.B, out.B)
+	rq.CopyLevel(level, ct.A, out.A)
+	rq.NTT(level, out.B)
+	rq.NTT(level, out.A)
+	rq.MulCoeffs(level, out.B, ptN, out.B)
+	rq.MulCoeffs(level, out.A, ptN, out.A)
+	rq.INTT(level, out.B)
+	rq.INTT(level, out.A)
+	rq.Release(ptN)
+	return out //alchemist:owns the product ciphertext is the caller's to Recycle
 }
 
 // MulRelin returns a ⊙ b with relinearization (the paper's Cmult, before

@@ -168,7 +168,7 @@ func FuzzKeySwitchFusedVsEager(f *testing.F) {
 
 // TestRotateHoistedSharedDecompositionDeterministic: two batches against the
 // same caller-held decomposition must produce bit-identical ciphertexts —
-// the sharing contract EvalLinearTransform's chunking relies on.
+// the sharing contract RotateHoistedWith documents.
 func TestRotateHoistedSharedDecompositionDeterministic(t *testing.T) {
 	h := newHarness(t, []int{1, 2})
 	ct := h.encrypt(t, randomSlots(h.ctx.Params.Slots(), 55, 1.0))

@@ -178,8 +178,7 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, outs []*Ciph
 
 // RotateHoistedWith applies the rotations against a caller-held
 // decomposition of ct.A, allowing the same decomposition to be shared across
-// multiple batches (EvalLinearTransform chunks diagonals this way to bound
-// live ciphertexts). Safe for concurrent use with a shared read-only d.
+// multiple batches. Safe for concurrent use with a shared read-only d.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, d *Decomposition, steps []int, outs []*Ciphertext) error {
 	if ev.eks == nil {
 		return fmt.Errorf("ckks: rotation keys missing")

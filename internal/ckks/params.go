@@ -170,6 +170,10 @@ type Context struct {
 	// runs on (same tables as groupToQ/groupToP, shared step-1 scaling).
 	Dec *ring.Decomposer
 
+	// pModQ[i] = P mod q_i: the factor that lifts a Q-only term into a
+	// ModDown input, so it leaves the division by P exactly (linalg.go).
+	pModQ []uint64
+
 	// ctPool recycles Ciphertext wrappers (the polynomials themselves go
 	// through the ring arenas); see Recycle in evaluator.go. decPool does
 	// the same for Decomposition shells (hoisted.go).
@@ -220,6 +224,14 @@ func NewContext(params Parameters) (*Context, error) {
 		duals[g] = dc
 	}
 	ctx.Dec = ring.NewDecomposer(alpha, duals)
+	pProd := big.NewInt(1)
+	for _, p := range params.P {
+		pProd.Mul(pProd, new(big.Int).SetUint64(p))
+	}
+	ctx.pModQ = make([]uint64, len(params.Q))
+	for i, q := range params.Q {
+		ctx.pModQ[i] = new(big.Int).Mod(pProd, new(big.Int).SetUint64(q)).Uint64()
+	}
 	return ctx, nil
 }
 
