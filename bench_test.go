@@ -244,7 +244,9 @@ func BenchmarkCPUKeyswitchClass(b *testing.B) {
 	swk := kg.GenSwitchingKey(sk2.Q, sk2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.ev.KeySwitch(level, c, swk)
+		ksB, ksA := h.ev.KeySwitchFused(level, c, swk)
+		h.ctx.RQ.Release(ksB)
+		h.ctx.RQ.Release(ksA)
 	}
 }
 

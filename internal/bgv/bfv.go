@@ -144,9 +144,11 @@ func (ev *Evaluator) MulBFV(a, b *BFVCiphertext) (*BFVCiphertext, error) {
 	}
 	p0, p1, p2 := scale(d0), scale(d1), scale(d2)
 
-	ksB, ksA := ev.keySwitch(level, p2, ev.rlk)
+	ksB, ksA := ev.KeySwitchFused(level, p2, ev.rlk)
 	ctx.RQ.Add(level, p0, ksB, p0)
 	ctx.RQ.Add(level, p1, ksA, p1)
+	ctx.RQ.Release(ksB)
+	ctx.RQ.Release(ksA)
 	return &BFVCiphertext{B: p0, A: p1, Level: level}, nil
 }
 

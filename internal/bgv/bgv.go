@@ -4,21 +4,21 @@
 // Z_t packed into slots via the negacyclic NTT modulo t; homomorphic
 // arithmetic is exact modulo t.
 //
-// Structure mirrors internal/ckks: hybrid (dnum) key switching with the
-// same gadget, but with all ciphertext and key errors scaled by t and the
-// ModDown/rescale steps made t-exact (ring.ModDownExact plus the BGV
-// modulus-switch correction), so noise management never perturbs the
-// plaintext.
+// The hybrid (dnum) key switching is the RLWE core CKKS also runs
+// (internal/rlwe). BGV scales every ciphertext and key error by t and binds
+// the core to a t-exact ModDown (an exact centered conversion plus the BGV
+// modulus-switch correction), and its rescale is t-exact the same way, so
+// noise management never perturbs the plaintext.
 package bgv
 
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Parameters describes a BGV instance.
@@ -98,26 +98,17 @@ func TestParams() Parameters {
 	return p
 }
 
-// Context holds the instantiated rings and converters.
+// Context carries the shared RLWE core (rings, converters, keyswitch
+// tables; see internal/rlwe) for a BGV parameter set, bound to the t-exact
+// ModDown, plus the plaintext ring.
 type Context struct {
+	*rlwe.Context
 	Params Parameters
-	RQ, RP *ring.Ring
 	RT     *ring.SubRing // plaintext ring Z_t[X]/(X^N+1) for slot packing
-	Ext    *ring.Extender
-
-	groupToQ []*ring.BasisConverter
-	groupToP []*ring.BasisConverter
-
-	// Dec is the digit-batched dual-target decomposer driving the fused
-	// keyswitch (same tables as groupToQ/groupToP, shared step-1 scaling);
-	// decPool recycles the Decomposition shells (hoisted.go).
-	Dec     *ring.Decomposer
-	decPool sync.Pool
 
 	// pToQT converts the special basis P into [t, q_0, q_1, …] so the
 	// t-corrected ModDown can read the centered value modulo t.
 	pToQT *ring.BasisConverter
-	pModQ []uint64 // P mod q_i
 	pInvQ []uint64 // P^{-1} mod q_i
 
 	// scratch recycles the t-corrected ModDown conversion buffers, whose
@@ -130,94 +121,22 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	rq, err := ring.NewRing(params.N(), params.Q)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := ring.NewRing(params.N(), params.P)
-	if err != nil {
-		return nil, err
-	}
 	rt, err := ring.NewSubRing(params.N(), params.T)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{Params: params, RQ: rq, RP: rp, RT: rt,
-		Ext: ring.NewExtender(rq, rp)}
-	alpha := params.Alpha()
-	for g := 0; g*alpha < len(params.Q); g++ {
-		hi := (g + 1) * alpha
-		if hi > len(params.Q) {
-			hi = len(params.Q)
-		}
-		src := params.Q[g*alpha : hi]
-		toQ := ring.NewBasisConverter(src, params.Q)
-		toP := ring.NewBasisConverter(src, params.P)
-		// Digit conversions ride the main ring's scheduler so SetWorkers
-		// reaches the fused keyswitch's Bconv tiles too.
-		toQ.BindScheduler(rq)
-		toP.BindScheduler(rq)
-		ctx.groupToQ = append(ctx.groupToQ, toQ)
-		ctx.groupToP = append(ctx.groupToP, toP)
+	ctx := &Context{Params: params, RT: rt,
+		pToQT: ring.NewBasisConverter(params.P, append([]uint64{params.T}, params.Q...))}
+	// The core calls modDownT only after construction, by when ctx is whole.
+	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum}, ctx.modDownT)
+	if err != nil {
+		return nil, err
 	}
-	duals := make([]*ring.DualConverter, len(ctx.groupToQ))
-	for g := range duals {
-		dc, err := ring.NewDualConverter(ctx.groupToQ[g], ctx.groupToP[g], g*alpha)
-		if err != nil {
-			return nil, err
-		}
-		duals[g] = dc
-	}
-	ctx.Dec = ring.NewDecomposer(alpha, duals)
-	ctx.pToQT = ring.NewBasisConverter(params.P,
-		append([]uint64{params.T}, params.Q...))
-	P := big.NewInt(1)
-	for _, p := range params.P {
-		P.Mul(P, new(big.Int).SetUint64(p))
-	}
-	tmp := new(big.Int)
-	for _, qi := range params.Q {
-		pq := tmp.Mod(P, new(big.Int).SetUint64(qi)).Uint64()
-		ctx.pModQ = append(ctx.pModQ, pq)
-		ctx.pInvQ = append(ctx.pInvQ, modmath.InvMod(pq, qi))
+	ctx.Context = core
+	for i, qi := range params.Q {
+		ctx.pInvQ = append(ctx.pInvQ, modmath.InvMod(core.PModQ[i], qi))
 	}
 	return ctx, nil
-}
-
-// SetWorkers fans the worker count out to every ring the context owns (RQ,
-// RP) — and with them the bound converters — so one call configures the
-// whole kernel suite an evaluation touches. 1 (the default) disables
-// parallelism. Safe to call concurrently with running evaluations; the
-// setting applies to subsequently submitted kernels.
-func (c *Context) SetWorkers(n int) {
-	c.RQ.SetWorkers(n)
-	c.RP.SetWorkers(n)
-}
-
-// Workers reports the configured worker count (minimum 1).
-func (c *Context) Workers() int { return c.RQ.Workers() }
-
-// Close tears down the resident worker pools of the context's rings (see
-// ring.Ring.Close); the context remains usable, falling back to serial
-// kernels until another parallel call respawns workers.
-func (c *Context) Close() {
-	c.RQ.Close()
-	c.RP.Close()
-}
-
-func (c *Context) groupRange(g int) (lo, hi int) {
-	alpha := c.Params.Alpha()
-	lo = g * alpha
-	hi = lo + alpha
-	if hi > len(c.Params.Q) {
-		hi = len(c.Params.Q)
-	}
-	return
-}
-
-func (c *Context) groupsAt(level int) int {
-	alpha := c.Params.Alpha()
-	return (level + alpha) / alpha
 }
 
 // Encoder packs Z_t vectors into plaintext polynomials via the NTT over t.
@@ -287,33 +206,30 @@ func (e *Encoder) Decode(p *ring.Poly, level int) []uint64 {
 
 // Keys ------------------------------------------------------------------
 
-// SecretKey is a ternary secret over Q and P.
-type SecretKey struct{ Q, P *ring.Poly }
+// The key types and the hybrid gadget key generation are the shared RLWE
+// core's (internal/rlwe). BGV keys scale every error by t, so that
+// keyswitching adds only multiples of t to the plaintext.
+type (
+	SecretKey    = rlwe.SecretKey
+	PublicKey    = rlwe.PublicKey
+	SwitchingKey = rlwe.SwitchingKey
+	KeyGenerator = rlwe.KeyGenerator
+)
 
-// PublicKey is (-A·s + t·e, A).
-type PublicKey struct{ B, A *ring.Poly }
-
-// SwitchingKey mirrors the CKKS hybrid key with t-scaled errors.
-type SwitchingKey struct {
-	BQ, AQ []*ring.Poly
-	BP, AP []*ring.Poly
-}
-
-// KeyGenerator samples BGV keys.
-type KeyGenerator struct {
-	ctx *Context
-	rng prng.Source
-}
-
-// NewKeyGenerator returns a deterministic generator.
+// NewKeyGenerator returns a deterministic generator over BGV's secret and
+// t-scaled error distributions.
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, rng: prng.New(seed)}
+	rng := prng.New(seed)
+	sigma := ctx.Params.Sigma
+	return rlwe.NewKeyGenerator(ctx.Context, rng,
+		func(n int) []int64 { return signedTernary(rng, n) },
+		func(n int) []int64 { return gaussian(rng, n, sigma) }, ctx.Params.T)
 }
 
-func (kg *KeyGenerator) signedTernary(n int) []int64 {
+func signedTernary(rng prng.Source, n int) []int64 {
 	v := make([]int64, n)
 	for i := range v {
-		switch kg.rng.Intn(3) {
+		switch rng.Intn(3) {
 		case 0:
 			v[i] = 1
 		case 1:
@@ -323,10 +239,10 @@ func (kg *KeyGenerator) signedTernary(n int) []int64 {
 	return v
 }
 
-func (kg *KeyGenerator) gaussian(n int) []int64 {
+func gaussian(rng prng.Source, n int, sigma float64) []int64 {
 	v := make([]int64, n)
 	for i := range v {
-		x := kg.rng.NormFloat64() * kg.ctx.Params.Sigma
+		x := rng.NormFloat64() * sigma
 		if x > 19 {
 			x = 19
 		} else if x < -19 {
@@ -335,136 +251,4 @@ func (kg *KeyGenerator) gaussian(n int) []int64 {
 		v[i] = int64(x)
 	}
 	return v
-}
-
-func setSigned(r *ring.Ring, level int, v []int64, scale uint64) *ring.Poly {
-	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := r.Moduli[i]
-		for j, x := range v {
-			p.Coeffs[i][j] = modmath.ReduceSigned(x*int64(scale), q)
-		}
-	}
-	return p
-}
-
-func (kg *KeyGenerator) uniform(r *ring.Ring, level int) *ring.Poly {
-	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := r.Moduli[i]
-		for j := range p.Coeffs[i] {
-			p.Coeffs[i][j] = prng.UniformMod(kg.rng, q)
-		}
-	}
-	return p
-}
-
-// GenSecretKey samples a ternary secret.
-func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	v := kg.signedTernary(kg.ctx.Params.N())
-	return &SecretKey{
-		Q: setSigned(kg.ctx.RQ, kg.ctx.RQ.MaxLevel(), v, 1),
-		P: setSigned(kg.ctx.RP, kg.ctx.RP.MaxLevel(), v, 1),
-	}
-}
-
-// GenPublicKey samples (-A·s + t·e, A).
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	a := kg.uniform(ctx.RQ, level)
-	e := setSigned(ctx.RQ, level, kg.gaussian(ctx.Params.N()), ctx.Params.T)
-	b := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, a, sk.Q, b)
-	ctx.RQ.Neg(level, b, b)
-	ctx.RQ.Add(level, b, e, b)
-	return &PublicKey{B: b, A: a}
-}
-
-// GenSwitchingKey builds the hybrid key s' → s with t-scaled errors.
-func (kg *KeyGenerator) GenSwitchingKey(sPrime *ring.Poly, sk *SecretKey) *SwitchingKey {
-	ctx := kg.ctx
-	n := ctx.Params.N()
-	levelQ := ctx.RQ.MaxLevel()
-	levelP := ctx.RP.MaxLevel()
-	swk := &SwitchingKey{}
-	for g := range ctx.groupToQ {
-		aQ := kg.uniform(ctx.RQ, levelQ)
-		aP := kg.uniform(ctx.RP, levelP)
-		ev := kg.gaussian(n)
-		eQ := setSigned(ctx.RQ, levelQ, ev, ctx.Params.T)
-		eP := setSigned(ctx.RP, levelP, ev, ctx.Params.T)
-
-		bQ := ctx.RQ.NewPoly(levelQ)
-		ctx.RQ.MulPoly(levelQ, aQ, sk.Q, bQ)
-		ctx.RQ.Neg(levelQ, bQ, bQ)
-		ctx.RQ.Add(levelQ, bQ, eQ, bQ)
-		w := kg.gadgetFactor(g)
-		ws := ctx.RQ.NewPoly(levelQ)
-		for i := 0; i <= levelQ; i++ {
-			ctx.RQ.SubRings[i].MulScalar(sPrime.Coeffs[i], w[i], ws.Coeffs[i])
-		}
-		ctx.RQ.Add(levelQ, bQ, ws, bQ)
-
-		bP := ctx.RP.NewPoly(levelP)
-		ctx.RP.MulPoly(levelP, aP, sk.P, bP)
-		ctx.RP.Neg(levelP, bP, bP)
-		ctx.RP.Add(levelP, bP, eP, bP)
-
-		ctx.RQ.NTT(levelQ, bQ)
-		ctx.RQ.NTT(levelQ, aQ)
-		ctx.RP.NTT(levelP, bP)
-		ctx.RP.NTT(levelP, aP)
-		swk.BQ = append(swk.BQ, bQ)
-		swk.AQ = append(swk.AQ, aQ)
-		swk.BP = append(swk.BP, bP)
-		swk.AP = append(swk.AP, aP)
-	}
-	return swk
-}
-
-func (kg *KeyGenerator) gadgetFactor(g int) []uint64 {
-	ctx := kg.ctx
-	lo, hi := ctx.groupRange(g)
-	Q := big.NewInt(1)
-	for _, q := range ctx.Params.Q {
-		Q.Mul(Q, new(big.Int).SetUint64(q))
-	}
-	Dg := big.NewInt(1)
-	for _, q := range ctx.Params.Q[lo:hi] {
-		Dg.Mul(Dg, new(big.Int).SetUint64(q))
-	}
-	P := big.NewInt(1)
-	for _, p := range ctx.Params.P {
-		P.Mul(P, new(big.Int).SetUint64(p))
-	}
-	Qhat := new(big.Int).Div(Q, Dg)
-	inv := new(big.Int).ModInverse(new(big.Int).Mod(Qhat, Dg), Dg)
-	W := new(big.Int).Mul(P, Qhat)
-	W.Mul(W, inv)
-	out := make([]uint64, len(ctx.Params.Q))
-	tmp := new(big.Int)
-	for i, qi := range ctx.Params.Q {
-		out[i] = tmp.Mod(W, new(big.Int).SetUint64(qi)).Uint64()
-	}
-	return out
-}
-
-// GenRelinKey returns the s² → s key.
-func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	s2 := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, sk.Q, sk.Q, s2)
-	return kg.GenSwitchingKey(s2, sk)
-}
-
-// GenGaloisKey returns the φ_k(s) → s key enabling ApplyGalois with the
-// Galois element k (k odd; rotations use RQ.GaloisElementForRotation).
-func (kg *KeyGenerator) GenGaloisKey(k uint64, sk *SecretKey) *SwitchingKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	sRot := ctx.RQ.NewPoly(level)
-	ctx.RQ.Automorphism(level, sk.Q, k, sRot)
-	return kg.GenSwitchingKey(sRot, sk)
 }

@@ -6,6 +6,7 @@ import (
 	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Ciphertext is a BGV ciphertext (B, A) with decryption (B + A·s) mod t.
@@ -30,11 +31,10 @@ func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
 // (u·pk.B + t·e0 + m, u·pk.A + t·e1).
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int) *Ciphertext {
 	ctx := e.ctx
-	kg := &KeyGenerator{ctx: ctx, rng: e.rng}
-	n := ctx.Params.N()
-	u := setSigned(ctx.RQ, level, kg.signedTernary(n), 1)
-	e0 := setSigned(ctx.RQ, level, kg.gaussian(n), ctx.Params.T)
-	e1 := setSigned(ctx.RQ, level, kg.gaussian(n), ctx.Params.T)
+	n, sigma, t := ctx.Params.N(), ctx.Params.Sigma, ctx.Params.T
+	u := rlwe.SignedPoly(ctx.RQ, level, signedTernary(e.rng, n), 1)
+	e0 := rlwe.SignedPoly(ctx.RQ, level, gaussian(e.rng, n, sigma), t)
+	e1 := rlwe.SignedPoly(ctx.RQ, level, gaussian(e.rng, n, sigma), t)
 	b := ctx.RQ.NewPoly(level)
 	a := ctx.RQ.NewPoly(level)
 	ctx.RQ.MulPoly(level, e.pk.B, u, b)
@@ -65,15 +65,18 @@ func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
 	return out
 }
 
-// Evaluator performs homomorphic operations.
+// Evaluator performs homomorphic operations. It embeds the shared RLWE
+// evaluator, whose fused keyswitch runs through the context's t-exact
+// ModDown.
 type Evaluator struct {
+	*rlwe.Evaluator
 	ctx *Context
 	rlk *SwitchingKey
 }
 
 // NewEvaluator returns an evaluator (rlk may be nil for additions).
 func NewEvaluator(ctx *Context, rlk *SwitchingKey) *Evaluator {
-	return &Evaluator{ctx: ctx, rlk: rlk}
+	return &Evaluator{Evaluator: rlwe.NewEvaluator(ctx.Context), ctx: ctx, rlk: rlk}
 }
 
 func minLevel(a, b *Ciphertext) int {
@@ -116,107 +119,35 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.rlk == nil {
 		return nil, fmt.Errorf("bgv: relinearization key missing")
 	}
-	ctx := ev.ctx
-	rq := ctx.RQ
 	level := minLevel(a, b)
-
-	// Tensor in the NTT domain; scratch from the ring arena (d0/d1 escape as
-	// the result and are left for the GC or a later Release by the caller).
-	b1 := rq.Borrow(level)
-	a1 := rq.Borrow(level)
-	b2 := rq.Borrow(level)
-	a2 := rq.Borrow(level)
-	rq.CopyLevel(level, a.B, b1)
-	rq.CopyLevel(level, a.A, a1)
-	rq.CopyLevel(level, b.B, b2)
-	rq.CopyLevel(level, b.A, a2)
-	rq.NTT(level, b1)
-	rq.NTT(level, a1)
-	rq.NTT(level, b2)
-	rq.NTT(level, a2)
-
-	d0 := rq.Borrow(level)
-	d1 := rq.Borrow(level)
-	d2 := rq.Borrow(level)
-	rq.MulCoeffs(level, b1, b2, d0)
-	rq.MulCoeffs(level, b1, a2, d1)
-	rq.MulCoeffsAndAdd(level, a1, b2, d1)
-	rq.MulCoeffs(level, a1, a2, d2)
-	rq.Release(b1)
-	rq.Release(a1)
-	rq.Release(b2)
-	rq.Release(a2)
-	rq.INTT(level, d0)
-	rq.INTT(level, d1)
-	rq.INTT(level, d2)
-
-	ksB, ksA := ev.KeySwitchFused(level, d2, ev.rlk)
-	rq.Release(d2)
-	rq.Add(level, d0, ksB, d0)
-	rq.Add(level, d1, ksA, d1)
-	rq.Release(ksB)
-	rq.Release(ksA)
-	return &Ciphertext{B: d0, A: d1, Level: level}, nil //alchemist:owns the product ciphertext wraps the pooled limbs d0/d1
+	d0, d1 := ev.Evaluator.MulRelin(level, a.B, a.A, b.B, b.A, ev.rlk)
+	return &Ciphertext{B: d0, A: d1, Level: level}, nil
 }
 
-// keySwitch mirrors the CKKS hybrid key switch but uses the exact centered
-// ModDown so the division by P (≡ 1 mod t) leaves the plaintext untouched.
-// It is the eager reference path: the live evaluator runs KeySwitchFused
-// (hoisted.go), whose bit-identity to this function the fused-vs-eager
-// tests pin.
-func (ev *Evaluator) keySwitch(level int, c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	rq, rp := ctx.RQ, ctx.RP
-	levelP := rp.MaxLevel()
-	groups := ctx.groupsAt(level)
-
-	accBQ := rq.BorrowZero(level)
-	accAQ := rq.BorrowZero(level)
-	accBP := rp.BorrowZero(levelP)
-	accAP := rp.BorrowZero(levelP)
-	dQ := rq.Borrow(level)
-	dP := rp.Borrow(levelP)
-
-	for g := 0; g < groups; g++ {
-		lo, hi := ctx.groupRange(g)
-		if hi > level+1 {
-			hi = level + 1
-		}
-		digits := c.Coeffs[lo:hi]
-		srcLevel := hi - lo - 1
-		ctx.groupToQ[g].ConvertN(srcLevel, digits, dQ.Coeffs, level+1)
-		ctx.groupToP[g].Convert(srcLevel, digits, dP.Coeffs)
-		rq.NTT(level, dQ)
-		rp.NTT(levelP, dP)
-		rq.MulCoeffsAndAdd(level, dQ, swk.BQ[g], accBQ)
-		rq.MulCoeffsAndAdd(level, dQ, swk.AQ[g], accAQ)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.BP[g], accBP)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.AP[g], accAP)
+// ApplyGalois applies the automorphism φ_k homomorphically: the result
+// decrypts to φ_k(m) mod t, exactly. gk must be the GenGaloisKey(k, ·) key.
+// The hoisted order (decompose ct.A, then permute inside the accumulation)
+// never materializes φ_k(A)'s digits.
+func (ev *Evaluator) ApplyGalois(ct *Ciphertext, k uint64, gk *SwitchingKey) (*Ciphertext, error) {
+	if gk == nil {
+		return nil, fmt.Errorf("bgv: galois key missing")
 	}
-	rq.INTT(level, accBQ)
-	rq.INTT(level, accAQ)
-	rp.INTT(levelP, accBP)
-	rp.INTT(levelP, accAP)
-
-	outB := rq.Borrow(level)
-	outA := rq.Borrow(level)
-	ev.modDownT(level, accBQ, accBP, outB)
-	ev.modDownT(level, accAQ, accAP, outA)
-	rq.Release(accBQ)
-	rq.Release(accAQ)
-	rp.Release(accBP)
-	rp.Release(accAP)
-	rq.Release(dQ)
-	rp.Release(dP)
-	return outB, outA //alchemist:owns the keyswitch halves are the caller's to release
+	b, a := ev.Evaluator.ApplyGalois(ct.Level, ct.B, ct.A, k, gk)
+	return &Ciphertext{B: b, A: a, Level: ct.Level}, nil
 }
 
-// modDownT divides an accumulator over Q·P by P with the BGV t-correction:
+// RotateRows applies the row rotation by r steps (Galois element 5^r), the
+// packed-slot permutation BGV inherits from the power-of-two cyclotomic.
+func (ev *Evaluator) RotateRows(ct *Ciphertext, r int, gk *SwitchingKey) (*Ciphertext, error) {
+	return ev.ApplyGalois(ct, ev.ctx.RQ.GaloisElementForRotation(r), gk)
+}
+
+// modDownT is the ModDown the context binds into the shared keyswitch. It
+// divides an accumulator over Q·P by P with the BGV t-correction:
 // the subtracted representative δ satisfies δ ≡ x (mod P) and δ ≡ 0 (mod t)
 // (δ = centered([x]_P) + P·w, w ≡ -[x]_P (mod t)), so the result stays
 // ≡ x (mod t) while noise only grows by ≤ t.
-func (ev *Evaluator) modDownT(level int, aQ, aP, out *ring.Poly) {
-	ctx := ev.ctx
+func (ctx *Context) modDownT(level int, aQ, aP, out *ring.Poly) {
 	n := ctx.Params.N()
 	t := ctx.Params.T
 	// Exact centered conversion into [t, q_0..q_level]. The channel backing
@@ -236,7 +167,7 @@ func (ev *Evaluator) modDownT(level int, aQ, aP, out *ring.Poly) {
 	}
 	for i := 0; i <= level; i++ {
 		qi := ctx.RQ.Moduli[i]
-		pq := ctx.pModQ[i]
+		pq := ctx.PModQ[i]
 		inv := ctx.pInvQ[i]
 		invS := modmath.ShoupPrecomp(inv, qi)
 		src, ci, dst := aQ.Coeffs[i], conv[i+1], out.Coeffs[i]

@@ -6,64 +6,6 @@ import (
 	"alchemist/internal/prng"
 )
 
-// TestKeySwitchFusedMatchesEager: the fused lazy keyswitch must be
-// BIT-identical to the eager reference on every input and level — same
-// digits (byte-identical lazy conversion), same NTT, lazy sum ≡ eager sum
-// after the one deferred reduction, shared t-exact ModDown.
-func TestKeySwitchFusedMatchesEager(t *testing.T) {
-	ctx, err := NewContext(TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := NewKeyGenerator(ctx, 11)
-	sk := kg.GenSecretKey()
-	rlk := kg.GenRelinKey(sk)
-	ev := NewEvaluator(ctx, rlk)
-	for level := 0; level <= ctx.Params.MaxLevel(); level++ {
-		c := kg.uniform(ctx.RQ, level)
-		eagerB, eagerA := ev.keySwitch(level, c, rlk)
-		fusedB, fusedA := ev.KeySwitchFused(level, c, rlk)
-		if !ctx.RQ.Equal(level, eagerB, fusedB) || !ctx.RQ.Equal(level, eagerA, fusedA) {
-			t.Fatalf("level %d: fused keyswitch differs from eager reference", level)
-		}
-		ctx.RQ.Release(eagerB)
-		ctx.RQ.Release(eagerA)
-		ctx.RQ.Release(fusedB)
-		ctx.RQ.Release(fusedA)
-	}
-}
-
-// TestKeySwitchFusedMatchesEagerAcrossDnum sweeps digit counts: each changes
-// the group structure, the identity-channel windows and the lazy term count.
-func TestKeySwitchFusedMatchesEagerAcrossDnum(t *testing.T) {
-	for _, dnum := range []int{1, 2, 3, 5} {
-		params, err := GenParams(7, 4, dnum, 5, 45, 46, 65537)
-		if err != nil {
-			t.Fatalf("dnum=%d: %v", dnum, err)
-		}
-		ctx, err := NewContext(params)
-		if err != nil {
-			t.Fatalf("dnum=%d: %v", dnum, err)
-		}
-		kg := NewKeyGenerator(ctx, 400+int64(dnum))
-		sk := kg.GenSecretKey()
-		rlk := kg.GenRelinKey(sk)
-		ev := NewEvaluator(ctx, rlk)
-		for level := 0; level <= ctx.Params.MaxLevel(); level++ {
-			c := kg.uniform(ctx.RQ, level)
-			eagerB, eagerA := ev.keySwitch(level, c, rlk)
-			fusedB, fusedA := ev.KeySwitchFused(level, c, rlk)
-			if !ctx.RQ.Equal(level, eagerB, fusedB) || !ctx.RQ.Equal(level, eagerA, fusedA) {
-				t.Fatalf("dnum=%d level %d: fused differs from eager", dnum, level)
-			}
-			ctx.RQ.Release(eagerB)
-			ctx.RQ.Release(eagerA)
-			ctx.RQ.Release(fusedB)
-			ctx.RQ.Release(fusedA)
-		}
-	}
-}
-
 // TestApplyGaloisExactModT: ApplyGalois must decrypt to exactly the
 // automorphism of the plaintext modulo t — BGV arithmetic is exact, so any
 // drift in the fused keyswitch or the t-correction shows up here.

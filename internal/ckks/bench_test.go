@@ -26,17 +26,6 @@ func benchEvaluator(b *testing.B) (*Context, *Evaluator, *Ciphertext) {
 	return ctx, NewEvaluator(ctx, eks), et.Encrypt(pt, level, ctx.Params.Scale)
 }
 
-func BenchmarkKeySwitchEager(b *testing.B) {
-	ctx, ev, ct := benchEvaluator(b)
-	level := ct.Level
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ksB, ksA := ev.KeySwitch(level, ct.A, ev.eks.Rlk)
-		ctx.RQ.Release(ksB)
-		ctx.RQ.Release(ksA)
-	}
-}
-
 func BenchmarkKeySwitchFused(b *testing.B) {
 	ctx, ev, ct := benchEvaluator(b)
 	level := ct.Level

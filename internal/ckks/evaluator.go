@@ -5,6 +5,7 @@ import (
 
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Ciphertext is a degree-1 CKKS ciphertext (B, A) over Q with decryption
@@ -74,10 +75,9 @@ func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int, scale float64) *Ciphertext {
 	ctx := e.ctx
 	n := ctx.Params.N()
-	kg := &KeyGenerator{ctx: ctx, rng: e.rng}
-	u := setSigned(ctx.RQ, level, kg.signedTernary(n, 2.0/3.0))
-	e0 := setSigned(ctx.RQ, level, kg.signedGaussian(n, ctx.Params.Sigma))
-	e1 := setSigned(ctx.RQ, level, kg.signedGaussian(n, ctx.Params.Sigma))
+	u := rlwe.SignedPoly(ctx.RQ, level, signedTernary(e.rng, n, 2.0/3.0), 1)
+	e0 := rlwe.SignedPoly(ctx.RQ, level, signedGaussian(e.rng, n, ctx.Params.Sigma), 1)
+	e1 := rlwe.SignedPoly(ctx.RQ, level, signedGaussian(e.rng, n, ctx.Params.Sigma), 1)
 
 	b := ctx.RQ.NewPoly(level)
 	a := ctx.RQ.NewPoly(level)
@@ -109,8 +109,11 @@ func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
 	return out
 }
 
-// Evaluator performs homomorphic operations using an evaluation key set.
+// Evaluator performs homomorphic operations using an evaluation key set. It
+// embeds the shared RLWE evaluator, whose fused keyswitch, decomposition and
+// hoisted Galois apply it exposes.
 type Evaluator struct {
+	*rlwe.Evaluator
 	ctx *Context
 	eks *EvaluationKeySet
 }
@@ -118,7 +121,7 @@ type Evaluator struct {
 // NewEvaluator returns an evaluator. eks may be nil for key-free operations
 // (Add, MulPlain, Rescale).
 func NewEvaluator(ctx *Context, eks *EvaluationKeySet) *Evaluator {
-	return &Evaluator{ctx: ctx, eks: eks}
+	return &Evaluator{Evaluator: rlwe.NewEvaluator(ctx.Context), ctx: ctx, eks: eks}
 }
 
 func (ev *Evaluator) alignLevels(a, b *Ciphertext) int {
@@ -205,47 +208,9 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.eks == nil || ev.eks.Rlk == nil {
 		return nil, fmt.Errorf("ckks: relinearization key missing")
 	}
-	ctx := ev.ctx
 	level := ev.alignLevels(a, b)
-	rq := ctx.RQ
-
-	// Tensor in the NTT domain. All scratch comes from the ring arena; the
-	// tensor outputs d0/d1 become the result ciphertext's polynomials.
-	b1 := rq.Borrow(level)
-	a1 := rq.Borrow(level)
-	b2 := rq.Borrow(level)
-	a2 := rq.Borrow(level)
-	rq.CopyLevel(level, a.B, b1)
-	rq.CopyLevel(level, a.A, a1)
-	rq.CopyLevel(level, b.B, b2)
-	rq.CopyLevel(level, b.A, a2)
-	rq.NTT(level, b1)
-	rq.NTT(level, a1)
-	rq.NTT(level, b2)
-	rq.NTT(level, a2)
-
-	out := ctx.borrowCt(level, a.Scale*b.Scale)
-	d0, d1 := out.B, out.A
-	d2 := rq.Borrow(level)
-	rq.MulCoeffs(level, b1, b2, d0)
-	rq.MulCoeffs(level, b1, a2, d1)
-	rq.MulCoeffsAndAdd(level, a1, b2, d1)
-	rq.MulCoeffs(level, a1, a2, d2)
-	rq.Release(b1)
-	rq.Release(a1)
-	rq.Release(b2)
-	rq.Release(a2)
-	rq.INTT(level, d0)
-	rq.INTT(level, d1)
-	rq.INTT(level, d2)
-
-	ksB, ksA := ev.KeySwitchFused(level, d2, ev.eks.Rlk)
-	rq.Release(d2)
-	rq.Add(level, d0, ksB, d0)
-	rq.Add(level, d1, ksA, d1)
-	rq.Release(ksB)
-	rq.Release(ksA)
-	return out, nil //alchemist:owns the product ciphertext is the caller's to Recycle
+	d0, d1 := ev.Evaluator.MulRelin(level, a.B, a.A, b.B, b.A, ev.eks.Rlk)
+	return ev.ctx.wrapCt(d0, d1, level, a.Scale*b.Scale), nil
 }
 
 // DropLevel returns ct restricted to the given (lower) level, leaving the
@@ -317,84 +282,6 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 // sound because the automorphism commutes with the RNS digit split; the
 // rotation tests pin the result against the plaintext rotation.
 func (ev *Evaluator) applyGalois(ct *Ciphertext, k uint64, key *SwitchingKey) (*Ciphertext, error) {
-	ctx := ev.ctx
-	level := ct.Level
-	d := ev.DecomposeOnce(level, ct.A)
-	bp := ctx.RQ.Borrow(level)
-	outA := ctx.RQ.Borrow(level)
-	ev.keySwitchHoisted(d, key, k, true, bp, outA)
-	ev.ReleaseDecomposition(d)
-	rot := ctx.RQ.Borrow(level)
-	ctx.RQ.Automorphism(level, ct.B, k, rot)
-	ctx.RQ.Add(level, bp, rot, bp)
-	ctx.RQ.Release(rot)
-	return ctx.wrapCt(bp, outA, level, ct.Scale), nil //alchemist:owns the rotated ciphertext wraps bp/outA; Recycle releases them
-}
-
-// KeySwitch applies the hybrid key switch to the coefficient-domain
-// polynomial c at the given level, returning (B, A) over Q such that
-// B + A·s ≈ c·s'. This is the paper's Keyswitch primitive: per digit group a
-// ModUp (Bconv), the DecompPolyMult accumulation against the evk, and a
-// final ModDown. The returned polynomials come from the ring arena; callers
-// that are done with them may hand them back via RQ.Release (the evaluator's
-// own call sites do), and callers that keep them simply let the GC take over.
-//
-//alchemist:hot
-func (ev *Evaluator) KeySwitch(level int, c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	rq, rp := ctx.RQ, ctx.RP
-	levelP := rp.MaxLevel()
-	groups := ctx.GroupsAtLevel(level)
-
-	accBQ := rq.BorrowZero(level) // NTT domain accumulators
-	accAQ := rq.BorrowZero(level)
-	accBP := rp.BorrowZero(levelP)
-	accAP := rp.BorrowZero(levelP)
-
-	dQ := rq.Borrow(level)
-	dP := rp.Borrow(levelP)
-
-	for g := 0; g < groups; g++ {
-		lo, hi := ctx.GroupRange(g)
-		if hi > level+1 {
-			hi = level + 1
-		}
-		digits := c.Coeffs[lo:hi] // residues of digit group g (coeff domain)
-		srcLevel := hi - lo - 1
-
-		// ModUp: extend the digit to the full Q_level ∪ P basis. The
-		// conversion is exact on the group's own channels (the overshoot
-		// u·D_g vanishes mod q_i | D_g), so converting everywhere is safe.
-		ctx.groupToQ[g].ConvertN(srcLevel, digits, dQ.Coeffs, level+1)
-		ctx.groupToP[g].Convert(srcLevel, digits, dP.Coeffs)
-
-		rq.NTT(level, dQ)
-		rp.NTT(levelP, dP)
-
-		// DecompPolyMult: accumulate digit ⊙ evk_g.
-		rq.MulCoeffsAndAdd(level, dQ, swk.BQ[g], accBQ)
-		rq.MulCoeffsAndAdd(level, dQ, swk.AQ[g], accAQ)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.BP[g], accBP)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.AP[g], accAP)
-	}
-
-	rq.INTT(level, accBQ)
-	rq.INTT(level, accAQ)
-	rp.INTT(levelP, accBP)
-	rp.INTT(levelP, accAP)
-
-	outB := rq.Borrow(level)
-	outA := rq.Borrow(level)
-	// Eager end to end: the reference path keeps the reduction-per-term
-	// ModDown so the fused-vs-eager comparison measures the whole lazy
-	// pipeline (byte-identical results either way).
-	ctx.Ext.ModDownEager(level, accBQ, accBP, outB)
-	ctx.Ext.ModDownEager(level, accAQ, accAP, outA)
-	rq.Release(accBQ)
-	rq.Release(accAQ)
-	rp.Release(accBP)
-	rp.Release(accAP)
-	rq.Release(dQ)
-	rp.Release(dP)
-	return outB, outA //alchemist:owns the keyswitch halves are the caller's to release
+	b, a := ev.ApplyGalois(ct.Level, ct.B, ct.A, k, key)
+	return ev.ctx.wrapCt(b, a, ct.Level, ct.Scale), nil
 }

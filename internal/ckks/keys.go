@@ -1,39 +1,18 @@
 package ckks
 
 import (
-	"math/big"
-
-	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
-	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
-// SecretKey holds the ternary secret s over both the Q and P bases
-// (coefficient domain).
-type SecretKey struct {
-	Q *ring.Poly
-	P *ring.Poly
-}
-
-// PublicKey is an encryption of zero: B = -A·s + e over Q (coefficient
-// domain).
-type PublicKey struct {
-	B *ring.Poly
-	A *ring.Poly
-}
-
-// SwitchingKey re-encrypts a polynomial from key s' to key s using the
-// hybrid (dnum-group) gadget: for each digit group g,
-//
-//	B_g = -A_g·s + e_g + W_g·s'   over Q·P,   A_g uniform over Q·P,
-//
-// where W_g = P · (Q/D_g) · [(Q/D_g)^{-1}]_{D_g} vanishes on the P channels.
-// All polynomials are stored in the NTT domain, split into their Q and P
-// parts.
-type SwitchingKey struct {
-	BQ, AQ []*ring.Poly // per group, over Q (level L), NTT domain
-	BP, AP []*ring.Poly // per group, over P, NTT domain
-}
+// The key types and the hybrid gadget key generation are the shared RLWE
+// core's (internal/rlwe); CKKS contributes its secret and error
+// distributions and the rotation key set.
+type (
+	SecretKey    = rlwe.SecretKey
+	PublicKey    = rlwe.PublicKey
+	SwitchingKey = rlwe.SwitchingKey
+)
 
 // EvaluationKeySet bundles the relinearization key and rotation keys.
 type EvaluationKeySet struct {
@@ -42,8 +21,11 @@ type EvaluationKeySet struct {
 	Conj *SwitchingKey
 }
 
-// KeyGenerator samples keys for a context.
+// KeyGenerator samples keys for a context: the shared generator (secret,
+// public, switching, relinearization and Galois keys) over CKKS's
+// distributions, plus sparse secrets and rotation key sets.
 type KeyGenerator struct {
+	*rlwe.KeyGenerator
 	ctx *Context
 	rng prng.Source
 }
@@ -51,14 +33,22 @@ type KeyGenerator struct {
 // NewKeyGenerator returns a deterministic key generator (test-grade
 // randomness; see Sampler).
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, rng: prng.New(seed)}
+	rng := prng.New(seed)
+	sigma := ctx.Params.Sigma
+	return &KeyGenerator{
+		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng,
+			func(n int) []int64 { return signedTernary(rng, n, 2.0/3.0) },
+			func(n int) []int64 { return signedGaussian(rng, n, sigma) }, 1),
+		ctx: ctx,
+		rng: rng,
+	}
 }
 
-// signedVector samples n values from {-1,0,1} with the given density.
-func (kg *KeyGenerator) signedTernary(n int, density float64) []int64 {
+// signedTernary samples n values from {-1,0,1} with the given density.
+func signedTernary(rng prng.Source, n int, density float64) []int64 {
 	v := make([]int64, n)
 	for i := range v {
-		u := kg.rng.Float64()
+		u := rng.Float64()
 		switch {
 		case u < density/2:
 			v[i] = 1
@@ -69,10 +59,12 @@ func (kg *KeyGenerator) signedTernary(n int, density float64) []int64 {
 	return v
 }
 
-func (kg *KeyGenerator) signedGaussian(n int, sigma float64) []int64 {
+// signedGaussian samples n rounded Gaussians of deviation sigma, clamped to
+// ±6σ.
+func signedGaussian(rng prng.Source, n int, sigma float64) []int64 {
 	v := make([]int64, n)
 	for i := range v {
-		x := kg.rng.NormFloat64() * sigma
+		x := rng.NormFloat64() * sigma
 		switch {
 		case x > 6*sigma:
 			x = 6 * sigma
@@ -85,39 +77,6 @@ func (kg *KeyGenerator) signedGaussian(n int, sigma float64) []int64 {
 		}
 	}
 	return v
-}
-
-// setSigned embeds a signed coefficient vector into a poly over r.
-func setSigned(r *ring.Ring, level int, v []int64) *ring.Poly {
-	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := r.Moduli[i]
-		for j, x := range v {
-			p.Coeffs[i][j] = modmath.ReduceSigned(x, q)
-		}
-	}
-	return p
-}
-
-// uniformPoly samples a uniform poly over r at the given level.
-func (kg *KeyGenerator) uniformPoly(r *ring.Ring, level int) *ring.Poly {
-	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := r.Moduli[i]
-		for j := range p.Coeffs[i] {
-			p.Coeffs[i][j] = prng.UniformMod(kg.rng, q)
-		}
-	}
-	return p
-}
-
-// GenSecretKey samples a ternary secret key.
-func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	v := kg.signedTernary(kg.ctx.Params.N(), 2.0/3.0)
-	return &SecretKey{
-		Q: setSigned(kg.ctx.RQ, kg.ctx.RQ.MaxLevel(), v),
-		P: setSigned(kg.ctx.RP, kg.ctx.RP.MaxLevel(), v),
-	}
 }
 
 // GenSecretKeySparse samples a ternary secret with exactly h non-zero
@@ -143,135 +102,25 @@ func (kg *KeyGenerator) GenSecretKeySparse(h int) *SecretKey {
 		}
 		placed++
 	}
-	return &SecretKey{
-		Q: setSigned(kg.ctx.RQ, kg.ctx.RQ.MaxLevel(), v),
-		P: setSigned(kg.ctx.RP, kg.ctx.RP.MaxLevel(), v),
-	}
-}
-
-// GenPublicKey samples pk = (-A·s + e, A) over Q.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	a := kg.uniformPoly(ctx.RQ, level)
-	e := setSigned(ctx.RQ, level, kg.signedGaussian(ctx.Params.N(), ctx.Params.Sigma))
-	b := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, a, sk.Q, b) // a·s
-	ctx.RQ.Neg(level, b, b)
-	ctx.RQ.Add(level, b, e, b)
-	return &PublicKey{B: b, A: a}
-}
-
-// gadgetFactor returns W_g mod the full Q basis as per-channel constants:
-// W_g = P · (Q/D_g) · [(Q/D_g)^{-1}]_{D_g}. (W_g ≡ 0 on every P channel.)
-func (kg *KeyGenerator) gadgetFactor(g int) []uint64 {
-	ctx := kg.ctx
-	lo, hi := ctx.GroupRange(g)
-	Q := big.NewInt(1)
-	for _, q := range ctx.Params.Q {
-		Q.Mul(Q, new(big.Int).SetUint64(q))
-	}
-	Dg := big.NewInt(1)
-	for _, q := range ctx.Params.Q[lo:hi] {
-		Dg.Mul(Dg, new(big.Int).SetUint64(q))
-	}
-	P := big.NewInt(1)
-	for _, p := range ctx.Params.P {
-		P.Mul(P, new(big.Int).SetUint64(p))
-	}
-	Qhat := new(big.Int).Div(Q, Dg)
-	inv := new(big.Int).ModInverse(new(big.Int).Mod(Qhat, Dg), Dg)
-	W := new(big.Int).Mul(P, Qhat)
-	W.Mul(W, inv)
-	out := make([]uint64, len(ctx.Params.Q))
-	tmp := new(big.Int)
-	for i, qi := range ctx.Params.Q {
-		out[i] = tmp.Mod(W, new(big.Int).SetUint64(qi)).Uint64()
-	}
-	return out
-}
-
-// GenSwitchingKey generates a key switching sPrime (over Q, coefficient
-// domain, full level) to sk.
-func (kg *KeyGenerator) GenSwitchingKey(sPrime *ring.Poly, sk *SecretKey) *SwitchingKey {
-	ctx := kg.ctx
-	n := ctx.Params.N()
-	levelQ := ctx.RQ.MaxLevel()
-	levelP := ctx.RP.MaxLevel()
-	groups := len(ctx.groupToQ)
-	swk := &SwitchingKey{}
-	for g := 0; g < groups; g++ {
-		aQ := kg.uniformPoly(ctx.RQ, levelQ)
-		aP := kg.uniformPoly(ctx.RP, levelP)
-		ev := kg.signedGaussian(n, ctx.Params.Sigma)
-		eQ := setSigned(ctx.RQ, levelQ, ev)
-		eP := setSigned(ctx.RP, levelP, ev)
-
-		// bQ = -aQ·s + eQ + W_g·s' over Q.
-		bQ := ctx.RQ.NewPoly(levelQ)
-		ctx.RQ.MulPoly(levelQ, aQ, sk.Q, bQ)
-		ctx.RQ.Neg(levelQ, bQ, bQ)
-		ctx.RQ.Add(levelQ, bQ, eQ, bQ)
-		w := kg.gadgetFactor(g)
-		ws := ctx.RQ.NewPoly(levelQ)
-		for i := 0; i <= levelQ; i++ {
-			ctx.RQ.SubRings[i].MulScalar(sPrime.Coeffs[i], w[i], ws.Coeffs[i])
-		}
-		ctx.RQ.Add(levelQ, bQ, ws, bQ)
-
-		// bP = -aP·s + eP over P (gadget vanishes mod P).
-		bP := ctx.RP.NewPoly(levelP)
-		ctx.RP.MulPoly(levelP, aP, sk.P, bP)
-		ctx.RP.Neg(levelP, bP, bP)
-		ctx.RP.Add(levelP, bP, eP, bP)
-
-		// Store in NTT domain for direct use in DecompPolyMult.
-		ctx.RQ.NTT(levelQ, bQ)
-		ctx.RQ.NTT(levelQ, aQ)
-		ctx.RP.NTT(levelP, bP)
-		ctx.RP.NTT(levelP, aP)
-		swk.BQ = append(swk.BQ, bQ)
-		swk.AQ = append(swk.AQ, aQ)
-		swk.BP = append(swk.BP, bP)
-		swk.AP = append(swk.AP, aP)
-	}
-	return swk
-}
-
-// GenRelinKey generates the relinearization key (s² → s).
-func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	s2 := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, sk.Q, sk.Q, s2)
-	return kg.GenSwitchingKey(s2, sk)
-}
-
-// GenRotationKey generates a key for the Galois element k (φ_k(s) → s).
-func (kg *KeyGenerator) GenRotationKey(sk *SecretKey, k uint64) *SwitchingKey {
-	ctx := kg.ctx
-	level := ctx.RQ.MaxLevel()
-	sA := ctx.RQ.NewPoly(level)
-	ctx.RQ.Automorphism(level, sk.Q, k, sA)
-	return kg.GenSwitchingKey(sA, sk)
+	return kg.ctx.NewSecretKey(v)
 }
 
 // GenEvaluationKeySet generates the relinearization key plus rotation keys
 // for the given rotation steps (and conjugation when conj is true).
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, rotations []int, conj bool) *EvaluationKeySet {
-	ctx := kg.ctx
+	rq := kg.ctx.RQ
 	eks := &EvaluationKeySet{
 		Rlk: kg.GenRelinKey(sk),
 		Rot: map[uint64]*SwitchingKey{},
 	}
 	for _, r := range rotations {
-		k := ctx.RQ.GaloisElementForRotation(r)
+		k := rq.GaloisElementForRotation(r)
 		if _, ok := eks.Rot[k]; !ok {
-			eks.Rot[k] = kg.GenRotationKey(sk, k)
+			eks.Rot[k] = kg.GenGaloisKey(k, sk)
 		}
 	}
 	if conj {
-		eks.Conj = kg.GenRotationKey(sk, ctx.RQ.GaloisElementConjugate())
+		eks.Conj = kg.GenGaloisKey(rq.GaloisElementConjugate(), sk)
 	}
 	return eks
 }

@@ -227,8 +227,8 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 	rp.INTT(levelP, acc0P)
 	rp.INTT(levelP, acc1P)
 	sum := ctx.borrowCt(level, ct.Scale*ctx.Params.Scale)
-	ctx.Ext.ModDown(level, acc0Q, acc0P, sum.B)
-	ctx.Ext.ModDown(level, acc1Q, acc1P, sum.A)
+	ctx.ModDown(level, acc0Q, acc0P, sum.B)
+	ctx.ModDown(level, acc1Q, acc1P, sum.A)
 	rq.Release(acc0Q)
 	rq.Release(acc1Q)
 	rp.Release(acc0P)
@@ -258,7 +258,7 @@ func (ev *Evaluator) nttTimesP(level int, src, dst *ring.Poly) {
 	rq.CopyLevel(level, src, dst)
 	rq.NTT(level, dst)
 	for i := 0; i <= level; i++ {
-		rq.SubRings[i].MulScalar(dst.Coeffs[i], ev.ctx.pModQ[i], dst.Coeffs[i])
+		rq.SubRings[i].MulScalar(dst.Coeffs[i], ev.ctx.PModQ[i], dst.Coeffs[i])
 	}
 }
 

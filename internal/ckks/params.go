@@ -14,7 +14,7 @@ import (
 	"sync"
 
 	"alchemist/internal/modmath"
-	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Parameters describes a CKKS instance.
@@ -154,121 +154,26 @@ func PaperParams() Parameters {
 	return Parameters{LogN: 16, Q: q, P: p, Scale: math.Exp2(36), Dnum: 4, Sigma: 3.2}
 }
 
-// Context carries the instantiated rings and converters for a parameter set.
+// Context carries the shared RLWE core (rings, converters, keyswitch
+// tables; see internal/rlwe) for a CKKS parameter set.
 type Context struct {
+	*rlwe.Context
 	Params Parameters
-	RQ     *ring.Ring // ring over Q
-	RP     *ring.Ring // ring over P
-	Ext    *ring.Extender
-
-	// Per-digit-group converters from the group's moduli to Q and to P —
-	// the eager reference path (KeySwitch).
-	groupToQ []*ring.BasisConverter
-	groupToP []*ring.BasisConverter
-
-	// Dec is the digit-batched dual-target decomposer the fused keyswitch
-	// runs on (same tables as groupToQ/groupToP, shared step-1 scaling).
-	Dec *ring.Decomposer
-
-	// pModQ[i] = P mod q_i: the factor that lifts a Q-only term into a
-	// ModDown input, so it leaves the division by P exactly (linalg.go).
-	pModQ []uint64
 
 	// ctPool recycles Ciphertext wrappers (the polynomials themselves go
-	// through the ring arenas); see Recycle in evaluator.go. decPool does
-	// the same for Decomposition shells (hoisted.go).
-	ctPool  sync.Pool
-	decPool sync.Pool
+	// through the ring arenas); see Recycle in evaluator.go.
+	ctPool sync.Pool
 }
 
-// NewContext instantiates rings and precomputations for params.
+// NewContext instantiates rings and precomputations for params. CKKS
+// divides by P with the plain ring.Extender.ModDown.
 func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	rq, err := ring.NewRing(params.N(), params.Q)
+	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rp, err := ring.NewRing(params.N(), params.P)
-	if err != nil {
-		return nil, err
-	}
-	ctx := &Context{Params: params, RQ: rq, RP: rp, Ext: ring.NewExtender(rq, rp)}
-	alpha := params.Alpha()
-	for g := 0; g < params.Dnum; g++ {
-		lo := g * alpha
-		if lo >= len(params.Q) {
-			break
-		}
-		hi := lo + alpha
-		if hi > len(params.Q) {
-			hi = len(params.Q)
-		}
-		src := params.Q[lo:hi]
-		toQ := ring.NewBasisConverter(src, params.Q)
-		toP := ring.NewBasisConverter(src, params.P)
-		// Digit conversions ride the main ring's scheduler so SetWorkers
-		// reaches the fused keyswitch's Bconv tiles too.
-		toQ.BindScheduler(rq)
-		toP.BindScheduler(rq)
-		ctx.groupToQ = append(ctx.groupToQ, toQ)
-		ctx.groupToP = append(ctx.groupToP, toP)
-	}
-	duals := make([]*ring.DualConverter, len(ctx.groupToQ))
-	for g := range duals {
-		dc, err := ring.NewDualConverter(ctx.groupToQ[g], ctx.groupToP[g], g*alpha)
-		if err != nil {
-			return nil, err
-		}
-		duals[g] = dc
-	}
-	ctx.Dec = ring.NewDecomposer(alpha, duals)
-	pProd := big.NewInt(1)
-	for _, p := range params.P {
-		pProd.Mul(pProd, new(big.Int).SetUint64(p))
-	}
-	ctx.pModQ = make([]uint64, len(params.Q))
-	for i, q := range params.Q {
-		ctx.pModQ[i] = new(big.Int).Mod(pProd, new(big.Int).SetUint64(q)).Uint64()
-	}
-	return ctx, nil
-}
-
-// SetWorkers fans the worker count out to every ring the context owns (RQ,
-// RP) — and with them the bound converters — so one call configures the
-// whole kernel suite an evaluation touches. 1 (the default) disables
-// parallelism. Safe to call concurrently with running evaluations; the
-// setting applies to subsequently submitted kernels.
-func (c *Context) SetWorkers(n int) {
-	c.RQ.SetWorkers(n)
-	c.RP.SetWorkers(n)
-}
-
-// Workers reports the configured worker count (minimum 1).
-func (c *Context) Workers() int { return c.RQ.Workers() }
-
-// Close tears down the resident worker pools of the context's rings (see
-// ring.Ring.Close); the context remains usable, falling back to serial
-// kernels until another parallel call respawns workers.
-func (c *Context) Close() {
-	c.RQ.Close()
-	c.RP.Close()
-}
-
-// GroupRange returns the modulus index range [lo, hi) of digit group g.
-func (c *Context) GroupRange(g int) (lo, hi int) {
-	alpha := c.Params.Alpha()
-	lo = g * alpha
-	hi = lo + alpha
-	if hi > len(c.Params.Q) {
-		hi = len(c.Params.Q)
-	}
-	return lo, hi
-}
-
-// GroupsAtLevel returns how many digit groups are active at the given level.
-func (c *Context) GroupsAtLevel(level int) int {
-	alpha := c.Params.Alpha()
-	return (level + alpha) / alpha // ceil((level+1)/alpha)
+	return &Context{Context: core, Params: params}, nil
 }

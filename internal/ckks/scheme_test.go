@@ -3,6 +3,9 @@ package ckks
 import (
 	"math/cmplx"
 	"testing"
+
+	"alchemist/internal/prng"
+	"alchemist/internal/rlwe"
 )
 
 type testHarness struct {
@@ -242,7 +245,7 @@ func TestConjugate(t *testing.T) {
 }
 
 func TestKeySwitchContract(t *testing.T) {
-	// KeySwitch(c, swk(s'→s)) yields (B,A) with B + A·s ≈ c·s'.
+	// KeySwitchFused(c, swk(s'→s)) yields (B,A) with B + A·s ≈ c·s'.
 	h := newHarness(t, nil)
 	ctx := h.ctx
 	level := ctx.Params.MaxLevel()
@@ -252,11 +255,9 @@ func TestKeySwitchContract(t *testing.T) {
 	sk2 := kg2.GenSecretKey()
 	swk := h.kg.GenSwitchingKey(sk2.Q, h.sk)
 
-	c := ctx.RQ.NewPoly(level)
-	sampler := NewKeyGenerator(ctx, 777)
-	c = sampler.uniformPoly(ctx.RQ, level)
+	c := rlwe.UniformPoly(prng.New(777), ctx.RQ, level)
 
-	ksB, ksA := h.ev.KeySwitch(level, c, swk)
+	ksB, ksA := h.ev.KeySwitchFused(level, c, swk)
 	// got = B + A·s.
 	got := ctx.RQ.NewPoly(level)
 	ctx.RQ.MulPoly(level, ksA, h.sk.Q, got)

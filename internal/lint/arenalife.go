@@ -67,6 +67,7 @@ type ReleaseSite struct {
 func NewArenaLife(module string) *ArenaLife {
 	return &ArenaLife{Scope: []string{
 		module + "/internal/ring",
+		module + "/internal/rlwe",
 		module + "/internal/ckks",
 		module + "/internal/bgv",
 		module + "/internal/tfhe",

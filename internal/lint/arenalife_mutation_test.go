@@ -26,6 +26,7 @@ func TestArenaLifeMutation(t *testing.T) {
 	}
 	kernels := []string{
 		"alchemist/internal/ring",
+		"alchemist/internal/rlwe",
 		"alchemist/internal/ckks",
 		"alchemist/internal/bgv",
 		"alchemist/internal/tfhe",

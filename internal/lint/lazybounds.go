@@ -99,7 +99,7 @@ type LazyBounds struct {
 // signature uniform with the other rules.
 func NewLazyBounds(string) *LazyBounds {
 	return &LazyBounds{
-		Scope:  []string{"internal/modmath", "internal/ring", "internal/ckks", "internal/bgv", "internal/tfhe"},
+		Scope:  []string{"internal/modmath", "internal/ring", "internal/rlwe", "internal/ckks", "internal/bgv", "internal/tfhe"},
 		Strict: []string{"internal/modmath", "internal/ring"},
 	}
 }

@@ -17,6 +17,7 @@ func NewWeakRand(module string) *WeakRand {
 	return &WeakRand{Scope: []string{
 		module + "/internal/ring",
 		module + "/internal/tfhe",
+		module + "/internal/rlwe",
 		module + "/internal/ckks",
 		module + "/internal/bgv",
 	}}
@@ -25,7 +26,7 @@ func NewWeakRand(module string) *WeakRand {
 func (*WeakRand) Name() string { return "weak-rand" }
 
 func (*WeakRand) Doc() string {
-	return "scheme packages (ring, tfhe, ckks, bgv) must use internal/prng, not math/rand"
+	return "scheme packages (ring, tfhe, rlwe, ckks, bgv) must use internal/prng, not math/rand"
 }
 
 func (w *WeakRand) Check(p *Package, report func(Finding)) {
