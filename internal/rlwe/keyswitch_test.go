@@ -160,24 +160,31 @@ func TestKeySwitchFusedMatchesEagerEdgeModuli(t *testing.T) {
 // dnum changes the group structure, the identity-channel windows and the
 // number of lazily accumulated terms.
 func TestKeySwitchFusedMatchesEagerAcrossDnum(t *testing.T) {
-	for _, dnum := range []int{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("ckks/dnum=%d", dnum), func(t *testing.T) {
-			// K=4 special primes so P covers even the dnum=1 single-group
-			// product (~215 bits).
-			params, err := ckks.GenParams(9, 4, dnum, 4, 55, 40, 55)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ckksFixture(t, params).check(t, 300+int64(dnum))
-		})
-		t.Run(fmt.Sprintf("bgv/dnum=%d", dnum), func(t *testing.T) {
-			params, err := bgv.GenParams(7, 4, dnum, 5, 45, 46, 65537)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bgvFixture(t, params).check(t, 400+int64(dnum))
-		})
-	}
+	dnums := []int{1, 2, 3, 5}
+	t.Run("ckks", func(t *testing.T) {
+		for _, dnum := range dnums {
+			t.Run(fmt.Sprintf("dnum=%d", dnum), func(t *testing.T) {
+				// K=4 special primes so P covers even the dnum=1
+				// single-group product (~215 bits).
+				params, err := ckks.GenParams(9, 4, dnum, 4, 55, 40, 55)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckksFixture(t, params).check(t, 300+int64(dnum))
+			})
+		}
+	})
+	t.Run("bgv", func(t *testing.T) {
+		for _, dnum := range dnums {
+			t.Run(fmt.Sprintf("dnum=%d", dnum), func(t *testing.T) {
+				params, err := bgv.GenParams(7, 4, dnum, 5, 45, 46, 65537)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bgvFixture(t, params).check(t, 400+int64(dnum))
+			})
+		}
+	})
 }
 
 // fuzzFixtures caches one fixture per (dnum, edge, exact) configuration:
