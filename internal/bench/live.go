@@ -370,27 +370,15 @@ func liveTFHE(cfg LiveConfig, add func(string, string, func(*testing.B))) error 
 	}
 	ct := s.EncryptBool(true)
 	tv := s.GateTestVector(1 << 29)
-	add("tfhe/blind-rotate", params.Name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.BlindRotate(ct, tv)
-		}
-	})
-	add("tfhe/bootstrap", params.Name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Bootstrap(ct, tv); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
-	// Streaming bootstrapper: single-op latency through the trimmed FFT
-	// engine, and aggregate throughput with the stage pipeline saturated by
-	// a full micro-batch of in-flight jobs.
+	// One bootstrapper serves every shape: single-op latency through the
+	// trimmed FFT engine, and aggregate throughput with the stage pipeline
+	// saturated by a full micro-batch of in-flight jobs.
 	boot, err := s.Bootstrapper(tfhe.WithTestVector(tv))
 	if err != nil {
 		return err
 	}
-	add("tfhe/bootstrap-stream", params.Name, func(b *testing.B) {
+	add("tfhe/bootstrap", params.Name, func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			out, err := boot.Run(ctx, ct)

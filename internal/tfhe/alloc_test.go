@@ -6,40 +6,8 @@ package tfhe
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 )
-
-// Steady-state allocation pin for the bootstrapping inner loop: once the
-// multiplier's arenas are warm, ExternalProductInto — the kernel CMux and
-// BlindRotate reduce to — must not allocate. BlindRotate itself allocates
-// exactly its returned accumulator.
-
-func TestExternalProductIntoAllocFree(t *testing.T) {
-	p := FastTestParams()
-	pm, err := NewPolyMultiplier(p.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	key := NewTrlweKey(p, pm, rng)
-	dec := newDecomposer(p)
-
-	mu := make(TorusPoly, p.N)
-	for i := range mu {
-		mu[i] = TorusFromDouble(0.125)
-	}
-	ct := key.Encrypt(mu, 1e-9, rng)
-	g := key.EncryptTrgsw(p, 1, rng)
-	out := NewTrlweSample(p.N, p.K)
-
-	ExternalProductInto(p, pm, dec, g, ct, out) // warm the arenas
-	if n := testing.AllocsPerRun(20, func() {
-		ExternalProductInto(p, pm, dec, g, ct, out)
-	}); n != 0 {
-		t.Errorf("warm ExternalProductInto allocates %.1f per op, want 0", n)
-	}
-}
 
 // Steady-state pin for the full streaming bootstrap datapath: once the
 // Bootstrapper's arenas are warm, Run + Recycle must be allocation-free —

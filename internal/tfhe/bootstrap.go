@@ -1,7 +1,6 @@
 package tfhe
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -14,14 +13,10 @@ type Scheme struct {
 	Params Params
 	PM     *PolyMultiplier
 
-	LweKey   *LweKey   // level-0 key (dimension NLwe)
-	TrlweKey *TrlweKey // ring key
-	dec      decomposer
+	LweKey   *LweKey    // level-0 key (dimension NLwe)
+	TrlweKey *TrlweKey  // ring key
 	decTrim  decomposer // trimmed gadget used by the FFT accumulator
 
-	// Bootstrapping key: one TRGSW encryption of each level-0 key bit
-	// (exact NTT form — the eager reference path).
-	BK []*TrgswNTT
 	// Key-switch key from the extracted (k·N) key back to the level-0 key:
 	// ksk[i][j] = LWE( s_ext[i] · 2^(32-(j+1)·BaseBits) ).
 	KSK [][]*LweSample
@@ -40,12 +35,11 @@ type Scheme struct {
 	lwe0   sync.Pool
 	lweExt sync.Pool
 
-	// Shared bootstrappers behind the deprecated shims and the gate/LUT
-	// entry points, built lazily so every consumer reuses one pinned
-	// configuration instead of re-deriving per-call state.
-	bootMu      sync.Mutex
-	bootDefault *Bootstrapper
-	bootGate    *Bootstrapper
+	// Shared bootstrapper behind the gates and EvalIntLUT, built lazily so
+	// every consumer reuses one pinned configuration instead of re-deriving
+	// per-call state.
+	bootMu sync.Mutex
+	boot   *Bootstrapper
 }
 
 // NewScheme generates all keys for the given parameters.
@@ -64,17 +58,10 @@ func NewScheme(p Params, seed int64) (*Scheme, error) {
 		PM:       pm,
 		rng:      rng,
 		seed:     seed,
-		dec:      newDecomposer(p),
 		decTrim:  newDecomposerLB(l, bg),
 		LweKey:   NewLweKey(p.NLwe, rng),
 		TrlweKey: NewTrlweKey(p, pm, rng),
 	}
-	// Bootstrapping key.
-	s.BK = make([]*TrgswNTT, p.NLwe)
-	for i := 0; i < p.NLwe; i++ {
-		s.BK[i] = s.TrlweKey.EncryptTrgsw(p, s.LweKey.S[i], rng)
-	}
-	// Key-switch key.
 	ext := s.TrlweKey.ExtractedLweKey()
 	s.KSK = s.GenKeySwitchKey(ext.S)
 	return s, nil
@@ -166,56 +153,6 @@ func (s *Scheme) releaseLwe(c *LweSample) {
 	case s.Params.K * s.Params.N:
 		s.lweExt.Put(c)
 	}
-}
-
-// Blind rotation -----------------------------------------------------------
-
-// blindRotateEagerInto is the exact-NTT blind rotation writing into a
-// caller-provided accumulator: n CMux iterations over the per-bit TRGSW
-// key, each an external product of (k+1)·l NTTs. It is the bit-identical
-// reference the FFT engine is fuzzed against. abar holds the pre-switched
-// Z_{2N} exponents (modSwitchInto layout).
-//
-//alchemist:hot
-func (s *Scheme) blindRotateEagerInto(abar []int32, tv TorusPoly, acc *TrlweSample) {
-	p := s.Params
-	rotated := s.PM.borrowTrlwe(p.K) // holds X^ã·cur, then the CMux difference
-	cur := s.PM.borrowTrlwe(p.K)     // CMux ping-pong pair; the caller's acc
-	next := s.PM.borrowTrlwe(p.K)    // never enters the swap, so releases stay exact
-	initAccInto(abar, p.NLwe, tv, cur)
-	for i := 0; i < p.NLwe; i++ {
-		aTilde := int(abar[i])
-		if aTilde == 0 {
-			continue
-		}
-		for c := 0; c < p.K; c++ {
-			cur.A[c].MonomialMulTo(aTilde, rotated.A[c])
-		}
-		cur.B.MonomialMulTo(aTilde, rotated.B)
-		CMuxInto(p, s.PM, s.dec, s.BK[i], rotated, cur, next)
-		cur, next = next, cur
-	}
-	for c := 0; c < p.K; c++ {
-		copy(acc.A[c], cur.A[c])
-	}
-	copy(acc.B, cur.B)
-	s.PM.releaseTrlwe(rotated)
-	s.PM.releaseTrlwe(cur)
-	s.PM.releaseTrlwe(next)
-}
-
-// BlindRotate homomorphically computes X^{-phase(ct)} · tv with the exact
-// NTT datapath. The returned sample comes from the multiplier's arena:
-// pipeline callers release it (via releaseTrlwe) after sample extraction,
-// and callers unaware of the arena may simply drop it to the GC.
-func (s *Scheme) BlindRotate(ct *LweSample, tv TorusPoly) *TrlweSample {
-	p := s.Params
-	abar := s.borrowAbar()
-	modSwitchInto(ct, 2*p.N, abar)
-	acc := s.PM.borrowTrlwe(p.K)
-	s.blindRotateEagerInto(abar, tv, acc)
-	s.releaseAbar(abar)
-	return acc //alchemist:owns pooled accumulator handed to the caller; Bootstrap releases it after extraction
 }
 
 // Key switching ------------------------------------------------------------
@@ -346,35 +283,6 @@ func (s *Scheme) KeySwitchWith(ksk [][]*LweSample, c *LweSample) (*LweSample, er
 	out := NewLweSample(s.Params.NLwe)
 	s.keySwitchInto(ksk, c, s.Params.KsT, out)
 	return out, nil
-}
-
-// Deprecated shims ---------------------------------------------------------
-
-// Bootstrap performs a full programmable bootstrap through the scheme's
-// shared default Bootstrapper (trimmed FFT engine; see the README migration
-// table).
-//
-// Deprecated: build a Bootstrapper once and call Run/RunWith — it pins the
-// test vector, exposes context cancellation, and amortizes setup. Use
-// WithEager(true) for the exact-NTT reference datapath.
-func (s *Scheme) Bootstrap(ct *LweSample, tv TorusPoly) (*LweSample, error) {
-	b, err := s.defaultBootstrapper()
-	if err != nil {
-		return nil, err
-	}
-	return b.RunWith(context.Background(), ct, tv)
-}
-
-// BootstrapBatch runs independent programmable bootstraps.
-//
-// Deprecated: use Bootstrapper.RunBatch (batched key streaming, context
-// cancellation) or Bootstrapper.Stream for pipelined throughput.
-func (s *Scheme) BootstrapBatch(cts []*LweSample, tv TorusPoly, workers int) ([]*LweSample, error) {
-	b, err := s.Bootstrapper(WithWorkers(workers), WithTestVector(tv))
-	if err != nil {
-		return nil, err
-	}
-	return b.RunBatch(context.Background(), cts)
 }
 
 // GateTestVector returns the constant test vector with value mu, which maps

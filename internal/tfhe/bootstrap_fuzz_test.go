@@ -11,8 +11,8 @@ import (
 // their outputs must agree bit-for-bit (per job, the trimmed kernels consume
 // an input-independent f64 sequence, and the batched key switch commutes
 // exactly modulo 2^32). The trimmed FFT engine as a whole is pinned to the
-// exact-NTT eager reference only at phase level, within the EXPERIMENTS.md
-// noise budget.
+// exact-NTT reference bootstrap (eager_test.go) only at phase level, within
+// the EXPERIMENTS.md noise budget.
 
 // fuzzCt builds a deterministic gate-encoded ciphertext from fuzz input.
 func fuzzCt(s *Scheme, seed uint32, sign bool) *LweSample {
@@ -49,15 +49,15 @@ func sampleEqual(a, b *LweSample) bool {
 	return true
 }
 
-func FuzzStreamVsEagerBootstrap(f *testing.F) {
-	f.Add(uint32(1), true, false)
-	f.Add(uint32(0xdeadbeef), false, false)
-	f.Add(uint32(42), true, true)
-	f.Add(uint32(7777), false, true)
-	f.Fuzz(func(t *testing.T, seed uint32, sign, eager bool) {
+func FuzzBootstrapSchedulesAgree(f *testing.F) {
+	f.Add(uint32(1), true)
+	f.Add(uint32(0xdeadbeef), false)
+	f.Add(uint32(42), true)
+	f.Add(uint32(7777), false)
+	f.Fuzz(func(t *testing.T, seed uint32, sign bool) {
 		s := getScheme(t)
 		ct := fuzzCt(s, seed, sign)
-		b, err := s.Bootstrapper(WithEager(eager), WithBatchWidth(4))
+		b, err := s.Bootstrapper(WithBatchWidth(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func FuzzStreamVsEagerBootstrap(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !sampleEqual(single, outs[1]) || !sampleEqual(single, outs[3]) {
-			t.Fatalf("RunBatch output differs from Run (eager=%v seed=%d)", eager, seed)
+			t.Fatalf("RunBatch output differs from Run (seed=%d)", seed)
 		}
 
 		// Stream: same jobs through the stage pipeline.
@@ -95,7 +95,7 @@ func FuzzStreamVsEagerBootstrap(f *testing.F) {
 				continue
 			}
 			if !sampleEqual(outs[res.Tag], res.Out) {
-				t.Errorf("stream output %d differs from RunBatch (eager=%v seed=%d)", res.Tag, eager, seed)
+				t.Errorf("stream output %d differs from RunBatch (seed=%d)", res.Tag, seed)
 			}
 			got++
 		}
@@ -111,20 +111,12 @@ func FuzzTrimmedVsEagerPhase(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint32, sign bool) {
 		s := getScheme(t)
 		ct := fuzzCt(s, seed, sign)
-		ctx := context.Background()
-		be, err := s.Bootstrapper(WithEager(true))
-		if err != nil {
-			t.Fatal(err)
-		}
 		bt, err := s.Bootstrapper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		oe, err := be.Run(ctx, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ot, err := bt.Run(ctx, ct)
+		oe := s.eagerBootstrap(ct, s.GateTestVector(TorusFromDouble(0.125)))
+		ot, err := bt.Run(context.Background(), ct)
 		if err != nil {
 			t.Fatal(err)
 		}

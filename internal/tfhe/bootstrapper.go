@@ -1,9 +1,9 @@
 package tfhe
 
 // Context-first, options-based bootstrapping API. A Bootstrapper pins the
-// per-call state the old Bootstrap/BootstrapBatch surface re-derived every
-// time — test vector, key-switch key, engine selection, worker count — and
-// exposes three execution shapes:
+// per-call state — test vector, key-switch key, worker count, micro-batch
+// width — and exposes three execution shapes of the one trimmed FFT
+// datapath (brfft.go):
 //
 //	Run(ctx, ct)        one bootstrap, allocation-free in steady state
 //	RunBatch(ctx, cts)  batched: key material streams once per micro-batch
@@ -30,7 +30,6 @@ type bootConfig struct {
 	batch   int
 	tv      TorusPoly
 	ksk     [][]*LweSample
-	eager   bool
 }
 
 // Option configures a Bootstrapper, following the engine package's idiom.
@@ -61,15 +60,6 @@ func WithKeySwitchKey(ksk [][]*LweSample) Option {
 	return func(c *bootConfig) { c.ksk = ksk }
 }
 
-// WithEager selects the exact-NTT accumulator (the pre-redesign datapath)
-// instead of the trimmed FFT engine. Eager mode is the reference the
-// fuzzers pin the streaming and batched paths against bit-for-bit; the
-// trimmed engine matches it at decrypt level under the EXPERIMENTS.md
-// noise budget.
-func WithEager(on bool) Option {
-	return func(c *bootConfig) { c.eager = on }
-}
-
 // WithBatchWidth sets the micro-batch width used by RunBatch and the
 // streaming stages to amortize bootstrapping-key streaming (default 8,
 // clamped to [1, 64]).
@@ -89,17 +79,16 @@ func WithBatchWidth(n int) Option {
 // configuration. It is safe for concurrent use: all key material is
 // read-only and every scratch buffer is arena-scoped per call.
 type Bootstrapper struct {
-	s     *Scheme
-	cfg   bootConfig
-	trimT int // key-switch digits (trimmed engine may drop tail digits)
+	s   *Scheme
+	cfg bootConfig
 
 	chunks sync.Pool // *chunkState batch scratch bundles
 }
 
 // Bootstrapper builds a bootstrapper over this scheme's keys. The zero
-// configuration bootstraps with the trimmed FFT engine, the gate test
-// vector (μ = 1/8), the scheme's key-switch key, one worker, and
-// micro-batches of 8.
+// configuration bootstraps with the gate test vector (μ = 1/8), the
+// scheme's key-switch key, one worker, and micro-batches of 8. Every
+// configuration key-switches with the trimmed p.TrimKs() digits.
 func (s *Scheme) Bootstrapper(opts ...Option) (*Bootstrapper, error) {
 	cfg := bootConfig{workers: 1, batch: 8, ksk: s.KSK}
 	for _, o := range opts {
@@ -115,43 +104,24 @@ func (s *Scheme) Bootstrapper(opts ...Option) (*Bootstrapper, error) {
 	if len(cfg.ksk) != p.K*p.N {
 		return nil, fmt.Errorf("tfhe: key-switch key covers %d, want k·N=%d", len(cfg.ksk), p.K*p.N)
 	}
-	b := &Bootstrapper{s: s, cfg: cfg, trimT: p.TrimKs()}
-	if cfg.eager {
-		b.trimT = p.KsT
-	} else {
-		s.pairBootKey() // generate the pair key up front, not under first-call latency
-	}
-	return b, nil
+	s.pairBootKey() // generate the pair key up front, not under first-call latency
+	return &Bootstrapper{s: s, cfg: cfg}, nil
 }
 
-// defaultBootstrapper returns the scheme-shared bootstrapper behind the
-// deprecated Bootstrap shim and EvalIntLUT.
-func (s *Scheme) defaultBootstrapper() (*Bootstrapper, error) {
+// sharedBootstrapper returns the scheme-shared default bootstrapper: one
+// pinned gate test vector reused by every gate evaluation, while EvalIntLUT
+// passes its LUT per call through RunWith.
+func (s *Scheme) sharedBootstrapper() (*Bootstrapper, error) {
 	s.bootMu.Lock()
 	defer s.bootMu.Unlock()
-	if s.bootDefault == nil {
+	if s.boot == nil {
 		b, err := s.Bootstrapper()
 		if err != nil {
 			return nil, err
 		}
-		s.bootDefault = b
+		s.boot = b
 	}
-	return s.bootDefault, nil
-}
-
-// gateBootstrapper returns the scheme-shared bootstrapper for boolean
-// gates: one pinned gate test vector reused by every gate evaluation.
-func (s *Scheme) gateBootstrapper() (*Bootstrapper, error) {
-	s.bootMu.Lock()
-	defer s.bootMu.Unlock()
-	if s.bootGate == nil {
-		b, err := s.Bootstrapper(WithTestVector(s.GateTestVector(TorusFromDouble(0.125))))
-		if err != nil {
-			return nil, err
-		}
-		s.bootGate = b
-	}
-	return s.bootGate, nil
+	return s.boot, nil
 }
 
 // Recycle returns an output sample obtained from Run/RunBatch/Stream to the
@@ -182,19 +152,15 @@ func (b *Bootstrapper) RunWith(ctx context.Context, ct *LweSample, tv TorusPoly)
 	abar := s.borrowAbar()
 	modSwitchInto(ct, 2*p.N, abar)
 	acc := s.PM.borrowTrlwe(p.K)
-	if b.cfg.eager {
-		s.blindRotateEagerInto(abar, tv, acc)
-	} else {
-		scr := s.borrowFFTScratch()
-		s.blindRotateFFTOne(abar, tv, acc, scr)
-		s.releaseFFTScratch(scr)
-	}
+	scr := s.borrowFFTScratch()
+	s.blindRotateFFTOne(abar, tv, acc, scr)
+	s.releaseFFTScratch(scr)
 	s.releaseAbar(abar)
 	ext := s.borrowLwe(p.K * p.N)
 	SampleExtractInto(acc, ext)
 	s.PM.releaseTrlwe(acc)
 	out := s.borrowLwe(p.NLwe)
-	s.keySwitchInto(b.cfg.ksk, ext, b.trimT, out)
+	s.keySwitchInto(b.cfg.ksk, ext, p.TrimKs(), out)
 	s.releaseLwe(ext)
 	return out, nil //alchemist:owns pooled output transfers to the caller; Bootstrapper.Recycle returns it to the arena
 }
@@ -275,18 +241,12 @@ func (b *Bootstrapper) runChunk(cts []*LweSample, tvs []TorusPoly, outs []*LweSa
 		modSwitchInto(cts[i], 2*p.N, cs.abars[i])
 		cs.brIn[i] = cs.abars[i]
 	}
-	if b.cfg.eager {
-		for i := 0; i < j; i++ {
-			s.blindRotateEagerInto(cs.abars[i], cs.tvs[i], cs.accs[i])
-		}
-	} else {
-		s.blindRotateFFTBatch(cs.brIn[:j], cs.tvs[:j], cs.accs[:j], cs.scr)
-	}
+	s.blindRotateFFTBatch(cs.brIn[:j], cs.tvs[:j], cs.accs[:j], cs.scr)
 	for i := 0; i < j; i++ {
 		SampleExtractInto(cs.accs[i], cs.exts[i])
 		cs.outs[i] = s.borrowLwe(p.NLwe) //alchemist:owns pooled outputs transfer to the caller via outs; Bootstrapper.Recycle returns them
 	}
-	s.keySwitchBatchInto(b.cfg.ksk, cs.exts[:j], b.trimT, cs.outs[:j])
+	s.keySwitchBatchInto(b.cfg.ksk, cs.exts[:j], p.TrimKs(), cs.outs[:j])
 	copy(outs, cs.outs[:j])
 	return nil
 }
@@ -480,7 +440,7 @@ func collectBatch(ctx context.Context, in <-chan streamToken, buf []streamToken)
 }
 
 // stageBlindRotate is the heavy stage: micro-batched pair-bundled blind
-// rotation (or per-job eager CMux chains under WithEager).
+// rotation.
 func (b *Bootstrapper) stageBlindRotate(ctx context.Context, in <-chan streamToken, out chan<- streamToken) {
 	s := b.s
 	p := s.Params
@@ -488,10 +448,8 @@ func (b *Bootstrapper) stageBlindRotate(ctx context.Context, in <-chan streamTok
 	brAbar := make([][]int32, 0, b.cfg.batch)
 	brTv := make([]TorusPoly, 0, b.cfg.batch)
 	brAcc := make([]*TrlweSample, 0, b.cfg.batch)
-	var scr *fftScratch
-	if !b.cfg.eager {
-		scr = s.borrowFFTScratch() // held for the worker's lifetime; released on stage exit below
-	}
+	scr := s.borrowFFTScratch() // held for the worker's lifetime
+	defer s.releaseFFTScratch(scr)
 	release := func(toks []streamToken) {
 		for i := range toks {
 			s.releaseAbar(toks[i].abar)
@@ -500,11 +458,6 @@ func (b *Bootstrapper) stageBlindRotate(ctx context.Context, in <-chan streamTok
 			}
 		}
 	}
-	defer func() {
-		if scr != nil {
-			s.releaseFFTScratch(scr)
-		}
-	}()
 	for {
 		toks, alive := collectBatch(ctx, in, buf)
 		if len(toks) > 0 && ctx.Err() == nil {
@@ -518,11 +471,7 @@ func (b *Bootstrapper) stageBlindRotate(ctx context.Context, in <-chan streamTok
 				brTv = append(brTv, toks[i].tv)
 				brAcc = append(brAcc, toks[i].acc)
 			}
-			if b.cfg.eager {
-				for i := range brAcc {
-					s.blindRotateEagerInto(brAbar[i], brTv[i], brAcc[i])
-				}
-			} else if len(brAcc) > 0 {
+			if len(brAcc) > 0 {
 				s.blindRotateFFTBatch(brAbar, brTv, brAcc, scr)
 			}
 			for i := range toks {
@@ -591,7 +540,7 @@ func (b *Bootstrapper) stageKeySwitch(ctx context.Context, in <-chan streamToken
 				exts = append(exts, toks[i].ext)
 				outs = append(outs, s.borrowLwe(p.NLwe)) //alchemist:owns pooled outputs transfer to the Result channel; Bootstrapper.Recycle returns them
 			}
-			s.keySwitchBatchInto(b.cfg.ksk, exts, b.trimT, outs)
+			s.keySwitchBatchInto(b.cfg.ksk, exts, p.TrimKs(), outs)
 			oi := 0
 			for i := range toks {
 				res := Result{Tag: toks[i].tag, Err: toks[i].err}

@@ -1,13 +1,13 @@
 package tfhe
 
-// Pair-bundled FFT blind rotation — the trimmed accumulator engine behind
-// the Bootstrapper's default mode. Per PAIR of key bits the accumulator is
+// Pair-bundled FFT blind rotation — the trimmed accumulator engine, the one
+// blind rotation every Bootstrapper shape runs. Per PAIR of key bits the accumulator is
 // decomposed once ((k+1)·TrimL forward FFTs), three pointwise terms are
 // accumulated against the (K₁,K₂,K₁₂) pair keys with the monomial factors
 // applied in the FFT domain, and one inverse FFT per component folds the
-// update back onto the coefficient-domain accumulator. The exact NTT path
-// (BlindRotate in bootstrap.go) is retained as the bit-identical reference;
-// fuzzers pin the two together at decrypt level (bootstrap_fuzz_test.go).
+// update back onto the coefficient-domain accumulator. An exact-NTT eager
+// blind rotation survives as a test oracle (eager_test.go); fuzzers pin the
+// two together at phase level (bootstrap_fuzz_test.go).
 //
 // The batch kernel iterates pairs in the outer loop and in-flight jobs in
 // the inner loop, so each pair's ~200KB of key rows is loaded once per

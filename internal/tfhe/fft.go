@@ -1,8 +1,8 @@
 package tfhe
 
 // Negacyclic floating-point transform for the trimmed bootstrapping
-// accumulator. The exact 61-bit NTT (poly.go) stays the bit-identical
-// reference; this FFT is the throughput engine: a length-N real negacyclic
+// accumulator. The exact 61-bit NTT (poly.go) serves key generation and
+// encryption; this FFT is the blind-rotation engine: a length-N real negacyclic
 // product folds into a length-N/2 complex transform (half the butterflies of
 // a complex FFT of the same degree, and complex multiply-accumulate beats
 // the Barrett-reduced integer pointwise product ~3x per slot).

@@ -6,11 +6,11 @@ package tfhe
 
 import "context"
 
-// gate routes every boolean gate through the scheme's shared gate
-// bootstrapper, so all gates reuse one pinned gate test vector and one
-// warmed scratch arena instead of rebuilding both per call.
+// gate routes every boolean gate through the scheme's shared bootstrapper,
+// so all gates reuse one pinned gate test vector and one warmed scratch
+// arena instead of rebuilding both per call.
 func (s *Scheme) gate(lin *LweSample) (*LweSample, error) {
-	b, err := s.gateBootstrapper()
+	b, err := s.sharedBootstrapper()
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func (s *Scheme) EvalIntLUT(c *LweSample, bits int, f func(int) int) (*LweSample
 		}
 		tv[j] = TorusFromDouble(float64(v) * intScale(bits))
 	}
-	b, err := s.defaultBootstrapper()
+	b, err := s.sharedBootstrapper()
 	if err != nil {
 		return nil, err
 	}

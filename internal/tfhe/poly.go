@@ -53,23 +53,23 @@ func (p TorusPoly) MonomialMulTo(e int, out TorusPoly) {
 // a single 61-bit prime NTT. Both the decomposed digits (|d| ≤ Bg/2) and the
 // centered torus values (|t| < 2^31) fit the prime with room for the
 // N-term accumulation, so the integer convolution is exact and reducing it
-// modulo 2^32 yields the torus result.
+// modulo 2^32 yields the torus result. Key generation, encryption and
+// phase computation use it; blind rotation runs on the FFT below.
 type PolyMultiplier struct {
 	N   int
 	sub *ring.SubRing
 
 	// fft is the folded negacyclic f64 transform used by the trimmed
-	// bootstrapping accumulator (fft.go); the NTT above stays the exact
-	// reference path.
+	// bootstrapping accumulator (fft.go).
 	fft *fftTables
 
 	// Scratch arenas for the bootstrapping hot loop, shared safely by
-	// concurrent bootstraps (BootstrapBatch). The digit scratch is a
-	// mutex-guarded freelist rather than a sync.Pool: pooling a bare slice
-	// boxes its header on every Put, and the freelist's push/pop is
-	// allocation-free once its backing array reaches steady size.
-	buf    ring.BufPool // []uint64 NTT-domain scratch
-	cplx   cplxPool     // []complex128 spectrum scratch
+	// concurrent bootstraps (Bootstrapper.RunBatch, Stream). The digit
+	// scratch is a mutex-guarded freelist rather than a sync.Pool: pooling
+	// a bare slice boxes its header on every Put, and the freelist's
+	// push/pop is allocation-free once its backing array reaches steady
+	// size.
+	cplx   cplxPool // []complex128 spectrum scratch
 	intsMu sync.Mutex
 	ints   []IntPoly // digit scratch freelist
 	trlwe  sync.Pool // *TrlweSample scratch
@@ -87,9 +87,6 @@ func NewPolyMultiplier(n int) (*PolyMultiplier, error) {
 	}
 	return &PolyMultiplier{N: n, sub: sub, fft: newFFTTables(n)}, nil
 }
-
-// Q returns the NTT prime.
-func (pm *PolyMultiplier) Q() uint64 { return pm.sub.Q }
 
 // IntToNTT lifts an integer polynomial into the NTT domain.
 func (pm *PolyMultiplier) IntToNTT(p IntPoly) []uint64 {
@@ -169,9 +166,6 @@ func (pm *PolyMultiplier) FromNTTInto(acc []uint64, out TorusPoly) {
 // Arena accessors shared by the bootstrapping kernels. Borrowed values have
 // arbitrary contents; every user below overwrites them in full.
 
-func (pm *PolyMultiplier) borrowNTT() []uint64   { return pm.buf.Get(pm.N) }
-func (pm *PolyMultiplier) releaseNTT(b []uint64) { pm.buf.Put(b) }
-
 func (pm *PolyMultiplier) borrowInt() IntPoly {
 	pm.intsMu.Lock()
 	defer pm.intsMu.Unlock()
@@ -204,35 +198,3 @@ func (pm *PolyMultiplier) borrowTrlwe(k int) *TrlweSample {
 }
 
 func (pm *PolyMultiplier) releaseTrlwe(s *TrlweSample) { pm.trlwe.Put(s) }
-
-// MulIntTorus returns the negacyclic product a·b (a integer digits, b torus).
-// Convenience wrapper used by key generation and reference tests.
-func (pm *PolyMultiplier) MulIntTorus(a IntPoly, b TorusPoly) TorusPoly {
-	an := pm.IntToNTT(a)
-	bn := pm.TorusToNTT(b)
-	acc := make([]uint64, pm.N)
-	pm.MulAcc(an, bn, acc)
-	return pm.FromNTT(acc)
-}
-
-// mulIntTorusRef is the O(N²) schoolbook reference used in tests.
-func mulIntTorusRef(a IntPoly, b TorusPoly) TorusPoly {
-	n := len(a)
-	out := make(TorusPoly, n)
-	for i := 0; i < n; i++ {
-		if a[i] == 0 {
-			continue
-		}
-		ai := Torus(a[i]) // two's-complement wrap is exactly torus scaling
-		for j := 0; j < n; j++ {
-			k := i + j
-			p := ai * b[j]
-			if k < n {
-				out[k] += p
-			} else {
-				out[k-n] -= p
-			}
-		}
-	}
-	return out
-}

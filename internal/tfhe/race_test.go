@@ -1,12 +1,13 @@
 package tfhe
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
 
 // Race stress tests: a Scheme's key material (bootstrapping key, key-switch
-// key) is read-only after NewScheme, so gate evaluation and programmable
+// key) is read-only once built, so gate evaluation and programmable
 // bootstrapping must be safe to fan out. Run under -race these provoke the
 // accelerator-style batch schedule on the CPU model.
 
@@ -52,12 +53,16 @@ func TestConcurrentGatesSharedScheme(t *testing.T) {
 	}
 }
 
-// TestBootstrapBatchRace drives BootstrapBatch with more work items than
-// workers while a second batch runs on the same scheme, so the internal
-// semaphore and result slices are exercised from overlapping batches.
+// TestBootstrapBatchRace drives Bootstrapper.RunBatch with more work items
+// than workers while a second batch runs on the same bootstrapper, so the
+// span queue, the pooled chunk scratch and the result slices are exercised
+// from overlapping batches.
 func TestBootstrapBatchRace(t *testing.T) {
 	s := getScheme(t)
-	tv := s.GateTestVector(TorusFromDouble(0.125))
+	boot, err := s.Bootstrapper(WithWorkers(3), WithTestVector(s.GateTestVector(TorusFromDouble(0.125))))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const batch = 12
 	type work struct {
@@ -81,7 +86,7 @@ func TestBootstrapBatchRace(t *testing.T) {
 		wg.Add(1)
 		go func(w work) {
 			defer wg.Done()
-			outs, err := s.BootstrapBatch(w.cts, tv, 3)
+			outs, err := boot.RunBatch(context.Background(), w.cts)
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,6 +1,7 @@
 package tfhe
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func TestPolyMultiplierMatchesSchoolbook(t *testing.T) {
 				a[i] = int32(rng.Intn(129) - 64) // digits in [-64, 64]
 				b[i] = rng.Uint32()
 			}
-			got := pm.MulIntTorus(a, b)
+			got := pm.mulIntTorus(a, b)
 			want := mulIntTorusRef(a, b)
 			for i := range got {
 				if got[i] != want[i] {
@@ -30,6 +31,36 @@ func TestPolyMultiplierMatchesSchoolbook(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mulIntTorus returns the negacyclic product a·b (a integer digits, b torus)
+// through the exact NTT.
+func (pm *PolyMultiplier) mulIntTorus(a IntPoly, b TorusPoly) TorusPoly {
+	acc := make([]uint64, pm.N)
+	pm.MulAcc(pm.IntToNTT(a), pm.TorusToNTT(b), acc)
+	return pm.FromNTT(acc)
+}
+
+// mulIntTorusRef is the O(N²) schoolbook reference.
+func mulIntTorusRef(a IntPoly, b TorusPoly) TorusPoly {
+	n := len(a)
+	out := make(TorusPoly, n)
+	for i := 0; i < n; i++ {
+		if a[i] == 0 {
+			continue
+		}
+		ai := Torus(a[i]) // two's-complement wrap is exactly torus scaling
+		for j := 0; j < n; j++ {
+			k := i + j
+			p := ai * b[j]
+			if k < n {
+				out[k] += p
+			} else {
+				out[k-n] -= p
+			}
+		}
+	}
+	return out
 }
 
 func TestMonomialMul(t *testing.T) {
@@ -170,61 +201,6 @@ func TestGadgetDecomposition(t *testing.T) {
 	}
 }
 
-func TestExternalProductAndCMux(t *testing.T) {
-	p := FastTestParams()
-	pm, err := NewPolyMultiplier(p.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	key := NewTrlweKey(p, pm, rng)
-	dec := newDecomposer(p)
-
-	mu := make(TorusPoly, p.N)
-	for i := range mu {
-		if i%3 == 0 {
-			mu[i] = TorusFromDouble(-0.125)
-		} else {
-			mu[i] = TorusFromDouble(0.125)
-		}
-	}
-	ct := key.Encrypt(mu, 1e-9, rng)
-
-	for _, bit := range []int32{0, 1} {
-		g := key.EncryptTrgsw(p, bit, rng)
-		prod := ExternalProduct(p, pm, dec, g, ct)
-		phase := key.Phase(prod)
-		for i := range mu {
-			want := 0.0
-			if bit == 1 {
-				want = DoubleFromTorus(mu[i])
-			}
-			if math.Abs(DoubleFromTorus(phase[i])-want) > 1e-3 {
-				t.Fatalf("external product bit=%d slot %d: phase %v want %v",
-					bit, i, DoubleFromTorus(phase[i]), want)
-			}
-		}
-	}
-
-	// CMux selects.
-	d0 := key.Encrypt(make(TorusPoly, p.N), 1e-9, rng) // zeros
-	d1 := key.Encrypt(mu, 1e-9, rng)
-	for _, bit := range []int32{0, 1} {
-		g := key.EncryptTrgsw(p, bit, rng)
-		sel := CMux(p, pm, dec, g, d1, d0)
-		phase := key.Phase(sel)
-		for i := range mu {
-			want := 0.0
-			if bit == 1 {
-				want = DoubleFromTorus(mu[i])
-			}
-			if math.Abs(DoubleFromTorus(phase[i])-want) > 1e-3 {
-				t.Fatalf("CMux bit=%d slot %d wrong", bit, i)
-			}
-		}
-	}
-}
-
 func TestSampleExtract(t *testing.T) {
 	p := FastTestParams()
 	pm, _ := NewPolyMultiplier(p.N)
@@ -278,9 +254,13 @@ func TestKeySwitch(t *testing.T) {
 
 func TestBootstrapRefreshesNoise(t *testing.T) {
 	s := getScheme(t)
+	boot, err := s.Bootstrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range []bool{true, false} {
 		ct := s.EncryptBool(b)
-		out, err := s.Bootstrap(ct, s.GateTestVector(TorusFromDouble(0.125)))
+		out, err := boot.RunWith(context.Background(), ct, s.GateTestVector(TorusFromDouble(0.125)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,10 +341,14 @@ func TestProgrammableBootstrapLUT(t *testing.T) {
 	// true → 3/8 would leave the safe region; instead reuse gate encoding
 	// and program the output values.
 	s := getScheme(t)
+	boot, err := s.Bootstrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tv := s.GateTestVector(TorusFromDouble(0.0625)) // output ±1/16
 	for _, b := range []bool{true, false} {
 		ct := s.EncryptBool(b)
-		out, err := s.Bootstrap(ct, tv)
+		out, err := boot.RunWith(context.Background(), ct, tv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +406,11 @@ func TestBootstrapBatchParallel(t *testing.T) {
 	for i, b := range wants {
 		cts[i] = s.EncryptBool(b)
 	}
-	outs, err := s.BootstrapBatch(cts, tv, 4)
+	boot, err := s.Bootstrapper(WithWorkers(4), WithTestVector(tv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := boot.RunBatch(context.Background(), cts)
 	if err != nil {
 		t.Fatal(err)
 	}

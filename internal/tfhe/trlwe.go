@@ -18,42 +18,6 @@ func NewTrlweSample(n, k int) *TrlweSample {
 	return s
 }
 
-// Copy returns a deep copy.
-func (s *TrlweSample) Copy() *TrlweSample {
-	out := &TrlweSample{A: make([]TorusPoly, len(s.A)), B: append(TorusPoly(nil), s.B...)}
-	for i := range s.A {
-		out.A[i] = append(TorusPoly(nil), s.A[i]...)
-	}
-	return out
-}
-
-// AddTo sets s += o.
-func (s *TrlweSample) AddTo(o *TrlweSample) {
-	for i := range s.A {
-		s.A[i].AddTo(o.A[i])
-	}
-	s.B.AddTo(o.B)
-}
-
-// SubTo sets s -= o.
-func (s *TrlweSample) SubTo(o *TrlweSample) {
-	for i := range s.A {
-		s.A[i].SubTo(o.A[i])
-	}
-	s.B.SubTo(o.B)
-}
-
-// MonomialMul returns X^e · s (negacyclic rotation of every component).
-func (s *TrlweSample) MonomialMul(e int) *TrlweSample {
-	n := len(s.B)
-	out := NewTrlweSample(n, len(s.A))
-	for i := range s.A {
-		s.A[i].MonomialMulTo(e, out.A[i])
-	}
-	s.B.MonomialMulTo(e, out.B)
-	return out
-}
-
 // TrlweKey is a binary ring key (k polynomials).
 type TrlweKey struct {
 	S  []IntPoly
@@ -155,8 +119,6 @@ type decomposer struct {
 	offset Torus
 }
 
-func newDecomposer(p Params) decomposer { return newDecomposerLB(p.L, p.BgBits) }
-
 // decompose writes the L digit polynomials of p into out (each length N).
 // The AVX2 digit kernel is exact integer arithmetic, bit-identical to the
 // scalar loop; the scalar path covers the tail and non-amd64 builds.
@@ -177,124 +139,4 @@ func (d decomposer) decompose(p TorusPoly, out []IntPoly) {
 			out[j][i] = int32((vt>>shift)&d.mask) - d.halfBg
 		}
 	}
-}
-
-// TRGSW ----------------------------------------------------------------------
-
-// TrgswNTT is a TRGSW ciphertext with every row stored in the NTT domain,
-// ready for external products: rows[r][c] is component c of row r.
-type TrgswNTT struct {
-	rows [][][]uint64
-}
-
-// EncryptTrgsw encrypts the small integer message m (typically a key bit)
-// as a TRGSW sample in the NTT domain.
-func (k *TrlweKey) EncryptTrgsw(p Params, m int32, rng prng.Source) *TrgswNTT {
-	n := p.N
-	kk := p.K
-	zero := make(TorusPoly, n)
-	g := &TrgswNTT{}
-	for i := 0; i <= kk; i++ { // which component carries the gadget
-		for j := 0; j < p.L; j++ {
-			row := k.Encrypt(zero, p.BkSigma, rng)
-			gval := Torus(m) << uint(32-(j+1)*p.BgBits)
-			if i < kk {
-				row.A[i][0] += gval
-			} else {
-				row.B[0] += gval
-			}
-			var comps [][]uint64
-			for c := 0; c < kk; c++ {
-				comps = append(comps, k.pm.TorusToNTT(row.A[c]))
-			}
-			comps = append(comps, k.pm.TorusToNTT(row.B))
-			g.rows = append(g.rows, comps)
-		}
-	}
-	return g
-}
-
-// ExternalProduct computes g ⊡ s ≈ TRLWE(m_g · m_s).
-func ExternalProduct(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, s *TrlweSample) *TrlweSample {
-	out := NewTrlweSample(p.N, p.K)
-	ExternalProductInto(p, pm, dec, g, s, out)
-	return out
-}
-
-// ExternalProductInto is ExternalProduct writing into out (fully overwritten;
-// may alias s). All scratch comes from the multiplier's arena, so the steady
-// state — the inner loop of every blind rotation — allocates nothing.
-//
-//alchemist:hot
-func ExternalProductInto(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, s *TrlweSample, out *TrlweSample) {
-	kk := p.K
-	// Stack-backed slice headers for the usual small L and k (≤ 8); only
-	// exotic parameter sets fall back to a heap header.
-	var digitsArr [8]IntPoly
-	var accArr [8][]uint64
-	digits, acc := digitsArr[:0], accArr[:0]
-	if p.L > len(digitsArr) {
-		digits = make([]IntPoly, 0, p.L)
-	}
-	if kk+1 > len(accArr) {
-		acc = make([][]uint64, 0, kk+1) //alchemist:allow hot-alloc cold fallback for exotic k > 7; usual parameter sets use the stack headers above
-	}
-	for j := 0; j < p.L; j++ {
-		digits = append(digits, pm.borrowInt()) //alchemist:owns released by the range loop at the end of this function
-	}
-	for c := 0; c <= kk; c++ {
-		b := pm.borrowNTT()
-		for i := range b {
-			b[i] = 0
-		}
-		acc = append(acc, b) //alchemist:owns released by the range loop at the end of this function
-	}
-	dNTT := pm.borrowNTT()
-	row := 0
-	for i := 0; i <= kk; i++ {
-		var comp TorusPoly
-		if i < kk {
-			comp = s.A[i]
-		} else {
-			comp = s.B
-		}
-		dec.decompose(comp, digits)
-		for j := 0; j < p.L; j++ {
-			pm.IntToNTTInto(digits[j], dNTT)
-			for c := 0; c <= kk; c++ {
-				pm.MulAcc(dNTT, g.rows[row][c], acc[c])
-			}
-			row++
-		}
-	}
-	for c := 0; c < kk; c++ {
-		pm.FromNTTInto(acc[c], out.A[c])
-	}
-	pm.FromNTTInto(acc[kk], out.B)
-	pm.releaseNTT(dNTT)
-	for _, b := range acc {
-		pm.releaseNTT(b)
-	}
-	for _, d := range digits {
-		pm.releaseInt(d)
-	}
-}
-
-// CMux returns d0 + g ⊡ (d1 - d0): selects d1 when g encrypts 1, d0 when 0.
-// Both inputs are preserved.
-func CMux(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, d1, d0 *TrlweSample) *TrlweSample {
-	diff := d1.Copy()
-	out := NewTrlweSample(p.N, p.K)
-	CMuxInto(p, pm, dec, g, diff, d0, out)
-	return out
-}
-
-// CMuxInto is CMux writing into out (fully overwritten). d1 is CONSUMED as
-// the difference scratch; d0 is preserved. out must not alias d0 or d1.
-//
-//alchemist:hot
-func CMuxInto(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, d1, d0, out *TrlweSample) {
-	d1.SubTo(d0)
-	ExternalProductInto(p, pm, dec, g, d1, out)
-	out.AddTo(d0)
 }
