@@ -9,11 +9,12 @@ import (
 	"alchemist/internal/ring"
 )
 
-// TestSchemeOutputsGolden pins the exact bytes of the keys and of the
-// keyswitching evaluator outputs at fixed seeds on TestParams. Refactors of
-// the keyswitch machinery must leave every key and ciphertext byte-identical;
-// the approximate-decryption tests cannot see a change that stays within
-// the noise bound, these hashes can.
+// TestSchemeOutputsGolden pins the exact bytes of the keys, of the
+// keyswitching evaluator outputs, of a fresh encryption, of the key-free
+// ciphertext arithmetic and of a decryption at fixed seeds on TestParams.
+// Refactors must leave every key and ciphertext byte-identical; the
+// approximate-decryption tests cannot see a change that stays within the
+// noise bound, these hashes can.
 //
 // The hashes were recorded on amd64. Other architectures may contract the
 // float noise sampling and encoding into fused multiply-adds, which changes
@@ -57,6 +58,32 @@ func TestSchemeOutputsGolden(t *testing.T) {
 	}
 	got["linear-transform"] = hashCiphertexts(t, y)
 
+	// The key-free ciphertext arithmetic and a fresh encryption, drawn after
+	// every input above so the earlier hashes keep their streams.
+	top := params.MaxLevel()
+	pt, err := f.enc.Encode(ltInput(params.Slots(), 16, 74), top, params.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["encrypt"] = hashCiphertexts(t, f.et.Encrypt(pt, top, params.Scale))
+	low, err := f.ev.DropLevel(ct2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["drop-level"] = hashCiphertexts(t, low)
+	sum, err := f.ev.Add(ct1, ct2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["add"] = hashCiphertexts(t, sum)
+	diff, err := f.ev.Sub(low, ct1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["sub"] = hashCiphertexts(t, diff)
+	got["mulplain"] = hashCiphertexts(t, f.ev.MulPlain(ct1, pt, params.Scale))
+	got["decrypt-poly"] = hashPolys(t, f.dt.DecryptPoly(ct1))
+
 	want := map[string]string{
 		"relin-key":        "17c7030e9238656e08913cf1b8668779c01b13869f66267c4b8551ef83b72e5b",
 		"galois-key":       "850548b4278564cb5c0f74e2d7e3c16b7508faa58637ea73f0ade83e038308c6",
@@ -64,6 +91,12 @@ func TestSchemeOutputsGolden(t *testing.T) {
 		"rotate":           "d5ecf32a5a9eda90dd087a5d4b7bb580d0b0fa39b13730b1f5e5a21f5ef14a87",
 		"rotate-hoisted":   "84d7facdc051a4c9d9546a660c0800d3672b511571a930645307c139a0862a94",
 		"linear-transform": "cc8a733285708d495ffb93aad4469b4c8f2edc18abe3ea3072a1aeb6e0390727",
+		"encrypt":          "63cd9293814c17ebd3299c4cf6c03bb785f3a01a0eac14a45d691759185a9e19",
+		"drop-level":       "72ce4532359edd5cf0214094c7345060533b38c0b84fe23588b9b4df0b91323a",
+		"add":              "a617fca1fc5d3ccdd020cda823b94be7e52f243ac8ec61faed675bbf7d320341",
+		"sub":              "589983a4526368ee9876019f5a89c0c507f6c9b98b829b20f76f40027d1c9558",
+		"mulplain":         "503f537421082605fdbd0a9e66d2eeb3893aba2bfa225da1c6b30ddb0b44e0c7",
+		"decrypt-poly":     "94c0fb73b6ec5a7f41ed9a3b327b5d2d212dc2ea4c9f616f7dba3dff332caaac",
 	}
 	for name, w := range want {
 		if got[name] != w {
@@ -74,15 +107,22 @@ func TestSchemeOutputsGolden(t *testing.T) {
 
 func hashSwitchingKey(t *testing.T, swk *SwitchingKey) string {
 	t.Helper()
-	h := sha256.New()
+	var polys []*ring.Poly
 	for g := range swk.BQ {
-		for _, p := range []*ring.Poly{swk.BQ[g], swk.AQ[g], swk.BP[g], swk.AP[g]} {
-			b, err := p.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Write(b)
+		polys = append(polys, swk.BQ[g], swk.AQ[g], swk.BP[g], swk.AP[g])
+	}
+	return hashPolys(t, polys...)
+}
+
+func hashPolys(t *testing.T, polys ...*ring.Poly) string {
+	t.Helper()
+	h := sha256.New()
+	for _, p := range polys {
+		b, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
 		}
+		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
