@@ -12,6 +12,7 @@ import (
 	"alchemist/internal/bgv"
 	"alchemist/internal/ckks"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 	"alchemist/internal/tfhe"
 )
 
@@ -212,10 +213,8 @@ func liveRing(cfg LiveConfig, workers int, add func(string, string, func(*testin
 	// Rescale needs no keys: a uniform ciphertext-shaped pair exercises the
 	// same arithmetic as a real one.
 	ct := &ckks.Ciphertext{
-		B:     rq.Clone(level, a),
-		A:     rq.Clone(level, p),
-		Level: level,
-		Scale: params.Scale * params.Scale,
+		Ciphertext: rlwe.Ciphertext{B: rq.Clone(level, a), A: rq.Clone(level, p), Level: level},
+		Scale:      params.Scale * params.Scale,
 	}
 	ev := ckks.NewEvaluator(ctx, nil)
 	add("ckks/rescale", shape, func(b *testing.B) {

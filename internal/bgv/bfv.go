@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // BFV — the scale-invariant arithmetic scheme the paper names alongside
@@ -17,10 +18,12 @@ import (
 // semantics, and the accelerator-side costs are identical to BGV's).
 
 // BFVCiphertext is a degree-1 BFV ciphertext (decryption ⌈(t/Q)(B+A·s)⌋).
-type BFVCiphertext struct {
-	B, A  *ring.Poly
-	Level int
-}
+// It is the shared RLWE ciphertext under its own type, so BGV and BFV
+// operands cannot be mixed up.
+type BFVCiphertext rlwe.Ciphertext
+
+// rlweCt views a BFV ciphertext as the shared type the core operates on.
+func rlweCt(ct *BFVCiphertext) *rlwe.Ciphertext { return (*rlwe.Ciphertext)(ct) }
 
 // Delta returns Δ = ⌊Q_level / t⌋.
 func (c *Context) Delta(level int) *big.Int {
@@ -40,16 +43,13 @@ func (e *Encoder) EncodeBFV(slots []uint64, level int) (*ring.Poly, error) {
 
 // EncryptBFV encrypts a Δ-scaled plaintext under the (shared) public key.
 func (e *Encryptor) EncryptBFV(pt *ring.Poly, level int) *BFVCiphertext {
-	ct := e.Encrypt(pt, level)
-	return &BFVCiphertext{B: ct.B, A: ct.A, Level: ct.Level}
+	return (*BFVCiphertext)(e.Encrypt(pt, level))
 }
 
 // DecryptBFV recovers the slots: per coefficient, ⌈t·(B+A·s)/Q⌋ mod t.
 func (d *Decryptor) DecryptBFV(enc *Encoder, ct *BFVCiphertext) []uint64 {
 	ctx := d.ctx
-	x := ctx.RQ.NewPoly(ct.Level)
-	ctx.RQ.MulPoly(ct.Level, ct.A, d.sk.Q, x)
-	ctx.RQ.Add(ct.Level, x, ct.B, x)
+	x := d.DecryptPoly(rlweCt(ct))
 
 	q := ctx.RQ.Modulus(ct.Level)
 	t := new(big.Int).SetUint64(ctx.Params.T)
@@ -88,24 +88,16 @@ func roundDiv(a, b *big.Int) *big.Int {
 
 // AddBFV returns a + b.
 func (ev *Evaluator) AddBFV(a, b *BFVCiphertext) *BFVCiphertext {
-	level := a.Level
-	if b.Level < level {
-		level = b.Level
-	}
-	out := &BFVCiphertext{B: ev.ctx.RQ.NewPoly(level), A: ev.ctx.RQ.NewPoly(level), Level: level}
-	ev.ctx.RQ.Add(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Add(level, a.A, b.A, out.A)
-	return out
+	out := BFVCiphertext(ev.Evaluator.Add(rlweCt(a), rlweCt(b)))
+	return &out
 }
 
 // MulPlainBFV multiplies by an UNSCALED plaintext (Encoder.Encode, not
-// EncodeBFV): Δm1·m2 stays Δ-scaled.
+// EncodeBFV): Δm1·m2 stays Δ-scaled. The result's polynomials come from the
+// ring arena.
 func (ev *Evaluator) MulPlainBFV(ct *BFVCiphertext, pt *ring.Poly) *BFVCiphertext {
-	level := ct.Level
-	out := &BFVCiphertext{B: ev.ctx.RQ.NewPoly(level), A: ev.ctx.RQ.NewPoly(level), Level: level}
-	ev.ctx.RQ.MulPoly(level, ct.B, pt, out.B)
-	ev.ctx.RQ.MulPoly(level, ct.A, pt, out.A)
-	return out
+	out := BFVCiphertext(ev.Evaluator.MulPlain(rlweCt(ct), pt))
+	return &out
 }
 
 // MulBFV multiplies two BFV ciphertexts: the exact big-integer tensor,
@@ -116,10 +108,7 @@ func (ev *Evaluator) MulBFV(a, b *BFVCiphertext) (*BFVCiphertext, error) {
 		return nil, fmt.Errorf("bgv: relinearization key missing")
 	}
 	ctx := ev.ctx
-	level := a.Level
-	if b.Level < level {
-		level = b.Level
-	}
+	level := min(a.Level, b.Level)
 	q := ctx.RQ.Modulus(level)
 	t := new(big.Int).SetUint64(ctx.Params.T)
 

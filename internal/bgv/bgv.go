@@ -220,10 +220,16 @@ type (
 // t-scaled error distributions.
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
-	sigma := ctx.Params.Sigma
-	return rlwe.NewKeyGenerator(ctx.Context, rng,
-		func(n int) []int64 { return signedTernary(rng, n) },
-		func(n int) []int64 { return gaussian(rng, n, sigma) }, ctx.Params.T)
+	secret, noise := samplers(rng, ctx.Params.Sigma)
+	return rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise, ctx.Params.T)
+}
+
+// samplers returns BGV's secret (uniform ternary) and error (truncated
+// Gaussian of deviation sigma) distributions over rng: the pair both key
+// generation and encryption draw from. The core scales the errors by t.
+func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
+	return func(n int) []int64 { return signedTernary(rng, n) },
+		func(n int) []int64 { return gaussian(rng, n, sigma) }
 }
 
 func signedTernary(rng prng.Source, n int) []int64 {

@@ -9,60 +9,40 @@ import (
 	"alchemist/internal/rlwe"
 )
 
-// Ciphertext is a BGV ciphertext (B, A) with decryption (B + A·s) mod t.
-type Ciphertext struct {
-	B, A  *ring.Poly
-	Level int
-}
+// Ciphertext is a BGV ciphertext (B, A) with decryption (B + A·s) mod t:
+// the shared RLWE ciphertext, wire format included.
+type Ciphertext = rlwe.Ciphertext
 
 // Encryptor encrypts under a public key.
 type Encryptor struct {
-	ctx *Context
-	pk  *PublicKey
-	rng prng.Source
+	enc *rlwe.Encryptor
 }
 
-// NewEncryptor returns an encryptor.
+// NewEncryptor returns an encryptor with deterministic randomness, drawing
+// from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{ctx: ctx, pk: pk, rng: prng.New(seed)}
+	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
+	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise, ctx.Params.T)}
 }
 
 // Encrypt encrypts a plaintext polynomial at the given level:
 // (u·pk.B + t·e0 + m, u·pk.A + t·e1).
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int) *Ciphertext {
-	ctx := e.ctx
-	n, sigma, t := ctx.Params.N(), ctx.Params.Sigma, ctx.Params.T
-	u := rlwe.SignedPoly(ctx.RQ, level, signedTernary(e.rng, n), 1)
-	e0 := rlwe.SignedPoly(ctx.RQ, level, gaussian(e.rng, n, sigma), t)
-	e1 := rlwe.SignedPoly(ctx.RQ, level, gaussian(e.rng, n, sigma), t)
-	b := ctx.RQ.NewPoly(level)
-	a := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, e.pk.B, u, b)
-	ctx.RQ.MulPoly(level, e.pk.A, u, a)
-	ctx.RQ.Add(level, b, e0, b)
-	ctx.RQ.Add(level, b, pt, b)
-	ctx.RQ.Add(level, a, e1, a)
-	return &Ciphertext{B: b, A: a, Level: level}
+	ct := e.enc.Encrypt(pt, level)
+	return &ct
 }
 
-// Decryptor decrypts with the secret key.
+// Decryptor decrypts with the secret key. DecryptPoly returns B + A·s at
+// the ciphertext's level (reduce mod t to read the message; Encoder.Decode
+// does both).
 type Decryptor struct {
+	*rlwe.Decryptor
 	ctx *Context
-	sk  *SecretKey
 }
 
 // NewDecryptor returns a decryptor.
 func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
-	return &Decryptor{ctx: ctx, sk: sk}
-}
-
-// DecryptPoly returns B + A·s at ct's level (reduce mod t to read the
-// message; Encoder.Decode does both).
-func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
-	out := d.ctx.RQ.NewPoly(ct.Level)
-	d.ctx.RQ.MulPoly(ct.Level, ct.A, d.sk.Q, out)
-	d.ctx.RQ.Add(ct.Level, out, ct.B, out)
-	return out
+	return &Decryptor{Decryptor: rlwe.NewDecryptor(ctx.Context, sk), ctx: ctx}
 }
 
 // Evaluator performs homomorphic operations. It embeds the shared RLWE
@@ -79,38 +59,23 @@ func NewEvaluator(ctx *Context, rlk *SwitchingKey) *Evaluator {
 	return &Evaluator{Evaluator: rlwe.NewEvaluator(ctx.Context), ctx: ctx, rlk: rlk}
 }
 
-func minLevel(a, b *Ciphertext) int {
-	if a.Level < b.Level {
-		return a.Level
-	}
-	return b.Level
-}
-
 // Add returns a + b.
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
-	level := minLevel(a, b)
-	out := &Ciphertext{B: ev.ctx.RQ.NewPoly(level), A: ev.ctx.RQ.NewPoly(level), Level: level}
-	ev.ctx.RQ.Add(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Add(level, a.A, b.A, out.A)
-	return out
+	out := ev.Evaluator.Add(a, b)
+	return &out
 }
 
 // Sub returns a - b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	level := minLevel(a, b)
-	out := &Ciphertext{B: ev.ctx.RQ.NewPoly(level), A: ev.ctx.RQ.NewPoly(level), Level: level}
-	ev.ctx.RQ.Sub(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Sub(level, a.A, b.A, out.A)
-	return out
+	out := ev.Evaluator.Sub(a, b)
+	return &out
 }
 
-// MulPlain returns ct ⊙ pt for a plaintext polynomial.
+// MulPlain returns ct ⊙ pt for a plaintext polynomial. The result's
+// polynomials come from the ring arena.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *ring.Poly) *Ciphertext {
-	level := ct.Level
-	out := &Ciphertext{B: ev.ctx.RQ.NewPoly(level), A: ev.ctx.RQ.NewPoly(level), Level: level}
-	ev.ctx.RQ.MulPoly(level, ct.B, pt, out.B)
-	ev.ctx.RQ.MulPoly(level, ct.A, pt, out.A)
-	return out
+	out := ev.Evaluator.MulPlain(ct, pt)
+	return &out
 }
 
 // MulRelin returns a·b with relinearization. The product plaintext is
@@ -119,7 +84,7 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.rlk == nil {
 		return nil, fmt.Errorf("bgv: relinearization key missing")
 	}
-	level := minLevel(a, b)
+	level := min(a.Level, b.Level)
 	d0, d1 := ev.Evaluator.MulRelin(level, a.B, a.A, b.B, b.A, ev.rlk)
 	return &Ciphertext{B: d0, A: d1, Level: level}, nil
 }

@@ -1,6 +1,10 @@
 package bgv
 
-import "testing"
+import (
+	"testing"
+
+	"alchemist/internal/ring"
+)
 
 func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	h := newHarness(t)
@@ -22,5 +26,17 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	bad[0] = 0x7F
 	if err := back.UnmarshalBinary(bad); err == nil {
 		t.Error("expected level-mismatch rejection")
+	}
+	// B and A at the same level but over different ring degrees.
+	half := &ring.Poly{Coeffs: make([][]uint64, ct.Level+1)}
+	for i := range half.Coeffs {
+		half.Coeffs[i] = make([]uint64, h.ctx.Params.N()/2)
+	}
+	mixed, err := (&Ciphertext{B: ct.B, A: half, Level: ct.Level}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.UnmarshalBinary(mixed); err == nil {
+		t.Error("expected degree-mismatch rejection")
 	}
 }

@@ -160,41 +160,6 @@ func ChebyshevEval(coeffs []float64, u float64) float64 {
 	return coeffs[0] + u*b1 - b2
 }
 
-// addApprox adds two ciphertexts that are at (possibly) different levels
-// with scales equal up to the tiny rescaling drift of near-2^logScale
-// primes; the mismatch is absorbed as approximation error.
-func (ev *Evaluator) addApprox(a, b *Ciphertext) (*Ciphertext, error) {
-	level := a.Level
-	if b.Level < level {
-		level = b.Level
-	}
-	out := &Ciphertext{
-		B:     ev.ctx.RQ.NewPoly(level),
-		A:     ev.ctx.RQ.NewPoly(level),
-		Level: level,
-		Scale: a.Scale,
-	}
-	ev.ctx.RQ.Add(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Add(level, a.A, b.A, out.A)
-	return out, nil
-}
-
-func (ev *Evaluator) subApprox(a, b *Ciphertext) (*Ciphertext, error) {
-	level := a.Level
-	if b.Level < level {
-		level = b.Level
-	}
-	out := &Ciphertext{
-		B:     ev.ctx.RQ.NewPoly(level),
-		A:     ev.ctx.RQ.NewPoly(level),
-		Level: level,
-		Scale: a.Scale,
-	}
-	ev.ctx.RQ.Sub(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Sub(level, a.A, b.A, out.A)
-	return out, nil
-}
-
 // constPlain encodes the constant v (all slots) at the given level & scale.
 func (ev *Evaluator) constPlain(v complex128, level int, scale float64, enc *Encoder) (*ring.Poly, error) {
 	n := ev.ctx.Params.Slots()
@@ -229,10 +194,7 @@ func (ev *Evaluator) EvalChebyshev(u *Ciphertext, coeffs []float64, enc *Encoder
 			if err != nil {
 				return nil, err
 			}
-			two, err := ev.addApprox(sq, sq) // 2T²
-			if err != nil {
-				return nil, err
-			}
+			two := ev.addApprox(sq, sq) // 2T²
 			one, err := ev.constPlain(1, two.Level, two.Scale, enc)
 			if err != nil {
 				return nil, err
@@ -257,14 +219,8 @@ func (ev *Evaluator) EvalChebyshev(u *Ciphertext, coeffs []float64, enc *Encoder
 			if err != nil {
 				return nil, err
 			}
-			two, err := ev.addApprox(prod, prod) // 2T_aT_b
-			if err != nil {
-				return nil, err
-			}
-			ct, err = ev.subApprox(two, u) // - T_{a-b} = -T_1
-			if err != nil {
-				return nil, err
-			}
+			two := ev.addApprox(prod, prod) // 2T_aT_b
+			ct = ev.subApprox(two, u)       // - T_{a-b} = -T_1
 		}
 		memo[k] = ct
 		return ct, nil
@@ -308,10 +264,7 @@ func (ev *Evaluator) EvalChebyshev(u *Ciphertext, coeffs []float64, enc *Encoder
 		if acc == nil {
 			acc = term
 		} else {
-			acc, err = ev.addApprox(acc, term)
-			if err != nil {
-				return nil, err
-			}
+			acc = ev.addApprox(acc, term)
 		}
 	}
 	if acc == nil {
@@ -333,12 +286,7 @@ func (ev *Evaluator) EvalChebyshev(u *Ciphertext, coeffs []float64, enc *Encoder
 // slots read as t = (scale·m)/q0 + I.
 func (bt *Bootstrapper) modRaise(ct *Ciphertext, target int) *Ciphertext {
 	ctx := bt.ctx
-	out := &Ciphertext{
-		B:     ctx.RQ.NewPoly(target),
-		A:     ctx.RQ.NewPoly(target),
-		Level: target,
-		Scale: float64(ctx.Params.Q[0]),
-	}
+	out := newCt(ctx.RQ.NewPoly(target), ctx.RQ.NewPoly(target), target, float64(ctx.Params.Q[0]))
 	n := ctx.Params.N()
 	for j := 0; j < n; j++ {
 		vb := ct.B.Coeffs[0][j]
@@ -412,11 +360,7 @@ func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := ev.addApprox(mLo, iHi)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ev.EvalLinearTransform(rec, bt.ltS2C, bt.enc)
+	out, err := ev.EvalLinearTransform(ev.addApprox(mLo, iHi), bt.ltS2C, bt.enc)
 	if err != nil {
 		return nil, err
 	}

@@ -173,12 +173,7 @@ func TestBootstrapRejectsWrongLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &Ciphertext{
-		B:     ctx.RQ.NewPoly(2),
-		A:     ctx.RQ.NewPoly(2),
-		Level: 2,
-		Scale: ctx.Params.Scale,
-	}
+	bad := newCt(ctx.RQ.NewPoly(2), ctx.RQ.NewPoly(2), 2, ctx.Params.Scale)
 	if _, err := bt.Bootstrap(bad); err == nil {
 		t.Fatal("expected level error")
 	}

@@ -2,28 +2,50 @@ package ckks
 
 import (
 	"fmt"
+	"math"
 
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
 	"alchemist/internal/rlwe"
 )
 
-// Ciphertext is a degree-1 CKKS ciphertext (B, A) over Q with decryption
-// B + A·s. Both polynomials are kept in the coefficient domain.
+// Ciphertext is a CKKS ciphertext: the shared RLWE ciphertext (B, A) at a
+// level, decrypting to B + A·s, and the scale its slots are encoded at.
 type Ciphertext struct {
-	B, A  *ring.Poly
-	Level int
+	rlwe.Ciphertext
 	Scale float64
+}
+
+// MarshalBinary encodes the ciphertext in the shared RLWE wire format with
+// the scale's float64 bits as its one metadata word.
+func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
+	return ct.Ciphertext.MarshalMeta([]uint64{math.Float64bits(ct.Scale)})
+}
+
+// UnmarshalBinary decodes into ct, rejecting a non-positive or non-finite
+// scale on top of the shared format's checks; ct is left untouched on error.
+func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
+	var c rlwe.Ciphertext
+	var meta [1]uint64
+	if err := c.UnmarshalMeta(data, meta[:]); err != nil {
+		return err
+	}
+	scale := math.Float64frombits(meta[0])
+	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("ckks: implausible scale %v", scale)
+	}
+	ct.Ciphertext, ct.Scale = c, scale
+	return nil
 }
 
 // CopyCt returns a deep copy.
 func (ctx *Context) CopyCt(ct *Ciphertext) *Ciphertext {
-	return &Ciphertext{
-		B:     ctx.RQ.Clone(ct.Level, ct.B),
-		A:     ctx.RQ.Clone(ct.Level, ct.A),
-		Level: ct.Level,
-		Scale: ct.Scale,
-	}
+	return newCt(ctx.RQ.Clone(ct.Level, ct.B), ctx.RQ.Clone(ct.Level, ct.A), ct.Level, ct.Scale)
+}
+
+// newCt wraps freshly allocated polynomials in a new Ciphertext.
+func newCt(b, a *ring.Poly, level int, scale float64) *Ciphertext {
+	return &Ciphertext{Ciphertext: rlwe.Ciphertext{B: b, A: a, Level: level}, Scale: scale}
 }
 
 // borrowCt assembles a ciphertext at the given level from the ring arena.
@@ -60,53 +82,35 @@ func (ctx *Context) Recycle(ct *Ciphertext) {
 
 // Encryptor encrypts plaintext polynomials under a public key.
 type Encryptor struct {
-	ctx *Context
-	pk  *PublicKey
-	rng prng.Source
+	enc *rlwe.Encryptor
 }
 
-// NewEncryptor returns an encryptor with deterministic randomness.
+// NewEncryptor returns an encryptor with deterministic randomness, drawing
+// from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{ctx: ctx, pk: pk, rng: prng.New(seed)}
+	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
+	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise, 1)}
 }
 
-// Encrypt encrypts the coefficient-domain plaintext pt at its level:
-// (B, A) = (u·pk.B + e0 + pt, u·pk.A + e1).
+// Encrypt encrypts the coefficient-domain plaintext pt at the given level
+// and declares its scale.
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int, scale float64) *Ciphertext {
-	ctx := e.ctx
-	n := ctx.Params.N()
-	u := rlwe.SignedPoly(ctx.RQ, level, signedTernary(e.rng, n, 2.0/3.0), 1)
-	e0 := rlwe.SignedPoly(ctx.RQ, level, signedGaussian(e.rng, n, ctx.Params.Sigma), 1)
-	e1 := rlwe.SignedPoly(ctx.RQ, level, signedGaussian(e.rng, n, ctx.Params.Sigma), 1)
-
-	b := ctx.RQ.NewPoly(level)
-	a := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, e.pk.B, u, b)
-	ctx.RQ.MulPoly(level, e.pk.A, u, a)
-	ctx.RQ.Add(level, b, e0, b)
-	ctx.RQ.Add(level, b, pt, b)
-	ctx.RQ.Add(level, a, e1, a)
-	return &Ciphertext{B: b, A: a, Level: level, Scale: scale}
+	return &Ciphertext{Ciphertext: e.enc.Encrypt(pt, level), Scale: scale}
 }
 
 // Decryptor decrypts ciphertexts with the secret key.
 type Decryptor struct {
-	ctx *Context
-	sk  *SecretKey
+	dec *rlwe.Decryptor
 }
 
 // NewDecryptor returns a decryptor.
 func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
-	return &Decryptor{ctx: ctx, sk: sk}
+	return &Decryptor{dec: rlwe.NewDecryptor(ctx.Context, sk)}
 }
 
 // DecryptPoly returns the plaintext polynomial B + A·s at ct's level.
 func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
-	ctx := d.ctx
-	out := ctx.RQ.NewPoly(ct.Level)
-	ctx.RQ.MulPoly(ct.Level, ct.A, d.sk.Q, out)
-	ctx.RQ.Add(ct.Level, out, ct.B, out)
-	return out
+	return d.dec.DecryptPoly(&ct.Ciphertext)
 }
 
 // Evaluator performs homomorphic operations using an evaluation key set. It
@@ -124,28 +128,12 @@ func NewEvaluator(ctx *Context, eks *EvaluationKeySet) *Evaluator {
 	return &Evaluator{Evaluator: rlwe.NewEvaluator(ctx.Context), ctx: ctx, eks: eks}
 }
 
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) int {
-	if a.Level < b.Level {
-		return a.Level
-	}
-	return b.Level
-}
-
 // Add returns a + b (equal scales required).
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := sameScale(a, b); err != nil {
 		return nil, err
 	}
-	level := ev.alignLevels(a, b)
-	out := &Ciphertext{
-		B:     ev.ctx.RQ.NewPoly(level),
-		A:     ev.ctx.RQ.NewPoly(level),
-		Level: level,
-		Scale: a.Scale,
-	}
-	ev.ctx.RQ.Add(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Add(level, a.A, b.A, out.A)
-	return out, nil
+	return ev.addApprox(a, b), nil
 }
 
 // Sub returns a - b (equal scales required).
@@ -153,16 +141,19 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := sameScale(a, b); err != nil {
 		return nil, err
 	}
-	level := ev.alignLevels(a, b)
-	out := &Ciphertext{
-		B:     ev.ctx.RQ.NewPoly(level),
-		A:     ev.ctx.RQ.NewPoly(level),
-		Level: level,
-		Scale: a.Scale,
-	}
-	ev.ctx.RQ.Sub(level, a.B, b.B, out.B)
-	ev.ctx.RQ.Sub(level, a.A, b.A, out.A)
-	return out, nil
+	return ev.subApprox(a, b), nil
+}
+
+// addApprox and subApprox combine ciphertexts at (possibly) different levels
+// whose scales agree only up to the tiny rescaling drift of near-2^logScale
+// primes; the result keeps a's scale and the mismatch is absorbed as
+// approximation error.
+func (ev *Evaluator) addApprox(a, b *Ciphertext) *Ciphertext {
+	return &Ciphertext{Ciphertext: ev.Evaluator.Add(&a.Ciphertext, &b.Ciphertext), Scale: a.Scale}
+}
+
+func (ev *Evaluator) subApprox(a, b *Ciphertext) *Ciphertext {
+	return &Ciphertext{Ciphertext: ev.Evaluator.Sub(&a.Ciphertext, &b.Ciphertext), Scale: a.Scale}
 }
 
 func sameScale(a, b *Ciphertext) error {
@@ -181,25 +172,10 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *ring.Poly) *Ciphertext {
 }
 
 // MulPlain returns ct ⊙ pt (the paper's Pmult). The output scale is the
-// product of the two scales; the caller typically rescales afterwards. pt is
-// transformed once and shared by both components.
+// product of the two scales; the caller typically rescales afterwards.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *ring.Poly, ptScale float64) *Ciphertext {
-	rq := ev.ctx.RQ
-	level := ct.Level
-	ptN := rq.Borrow(level)
-	rq.CopyLevel(level, pt, ptN)
-	rq.NTT(level, ptN)
-	out := ev.ctx.borrowCt(level, ct.Scale*ptScale)
-	rq.CopyLevel(level, ct.B, out.B)
-	rq.CopyLevel(level, ct.A, out.A)
-	rq.NTT(level, out.B)
-	rq.NTT(level, out.A)
-	rq.MulCoeffs(level, out.B, ptN, out.B)
-	rq.MulCoeffs(level, out.A, ptN, out.A)
-	rq.INTT(level, out.B)
-	rq.INTT(level, out.A)
-	rq.Release(ptN)
-	return out //alchemist:owns the product ciphertext is the caller's to Recycle
+	out := ev.Evaluator.MulPlain(&ct.Ciphertext, pt)
+	return ev.ctx.wrapCt(out.B, out.A, out.Level, ct.Scale*ptScale)
 }
 
 // MulRelin returns a ⊙ b with relinearization (the paper's Cmult, before
@@ -208,7 +184,7 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.eks == nil || ev.eks.Rlk == nil {
 		return nil, fmt.Errorf("ckks: relinearization key missing")
 	}
-	level := ev.alignLevels(a, b)
+	level := min(a.Level, b.Level)
 	d0, d1 := ev.Evaluator.MulRelin(level, a.B, a.A, b.B, b.A, ev.eks.Rlk)
 	return ev.ctx.wrapCt(d0, d1, level, a.Scale*b.Scale), nil
 }
@@ -219,13 +195,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level > ct.Level || level < 0 {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
 	}
-	out := &Ciphertext{
-		B:     ev.ctx.RQ.Clone(level, ct.B),
-		A:     ev.ctx.RQ.Clone(level, ct.A),
-		Level: level,
-		Scale: ct.Scale,
-	}
-	return out, nil
+	return newCt(ev.ctx.RQ.Clone(level, ct.B), ev.ctx.RQ.Clone(level, ct.A), level, ct.Scale), nil
 }
 
 // MulConst multiplies every slot by the complex constant c, consuming one

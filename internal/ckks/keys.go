@@ -34,14 +34,20 @@ type KeyGenerator struct {
 // randomness; see Sampler).
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
-	sigma := ctx.Params.Sigma
+	secret, noise := samplers(rng, ctx.Params.Sigma)
 	return &KeyGenerator{
-		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng,
-			func(n int) []int64 { return signedTernary(rng, n, 2.0/3.0) },
-			func(n int) []int64 { return signedGaussian(rng, n, sigma) }, 1),
-		ctx: ctx,
-		rng: rng,
+		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise, 1),
+		ctx:          ctx,
+		rng:          rng,
 	}
+}
+
+// samplers returns CKKS's secret (ternary, density 2/3) and error (rounded
+// Gaussian of deviation sigma) distributions over rng: the pair both key
+// generation and encryption draw from.
+func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
+	return func(n int) []int64 { return signedTernary(rng, n, 2.0/3.0) },
+		func(n int) []int64 { return signedGaussian(rng, n, sigma) }
 }
 
 // signedTernary samples n values from {-1,0,1} with the given density.

@@ -320,11 +320,7 @@ func (ev *Evaluator) MeanVariance(ct *Ciphertext, n int, enc *Encoder) (mean, va
 	if err != nil {
 		return nil, nil, err
 	}
-	variance, err = ev.subApprox(meanSq, m2)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mean, variance, nil
+	return mean, ev.subApprox(meanSq, m2), nil
 }
 
 // EvalPolyHorner evaluates Σ coeffs[i]·x^i on the ciphertext with Horner's

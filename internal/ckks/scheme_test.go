@@ -120,36 +120,6 @@ func TestMulPlainAndRescale(t *testing.T) {
 	}
 }
 
-// TestMulPlainMatchesMulPoly pins MulPlain, which transforms pt once for
-// both components, byte-identical to one MulPoly per component.
-func TestMulPlainMatchesMulPoly(t *testing.T) {
-	h := newHarness(t, nil)
-	rq := h.ctx.RQ
-	z := randomSlots(h.ctx.Params.Slots(), 26, 1.0)
-	w := randomSlots(h.ctx.Params.Slots(), 27, 1.0)
-	top := h.encrypt(t, z)
-	for _, level := range []int{top.Level, 1} {
-		ct, err := h.ev.DropLevel(top, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := h.enc.Encode(w, level, h.ctx.Params.Scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := h.ev.MulPlain(ct, pt, h.ctx.Params.Scale)
-		wantB, wantA := rq.NewPoly(level), rq.NewPoly(level)
-		rq.MulPoly(level, ct.B, pt, wantB)
-		rq.MulPoly(level, ct.A, pt, wantA)
-		if got.Level != level || !rq.Equal(level, got.B, wantB) || !rq.Equal(level, got.A, wantA) {
-			t.Fatalf("level %d: MulPlain differs from the two-MulPoly product", level)
-		}
-		if got.Scale != ct.Scale*h.ctx.Params.Scale {
-			t.Fatalf("level %d: scale %g, want %g", level, got.Scale, ct.Scale*h.ctx.Params.Scale)
-		}
-	}
-}
-
 func TestMulRelinAndRescale(t *testing.T) {
 	h := newHarness(t, nil)
 	z1 := randomSlots(h.ctx.Params.Slots(), 26, 1.0)

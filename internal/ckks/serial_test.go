@@ -3,6 +3,8 @@ package ckks
 import (
 	"bytes"
 	"testing"
+
+	"alchemist/internal/ring"
 )
 
 func TestCiphertextSerializationRoundTrip(t *testing.T) {
@@ -54,26 +56,16 @@ func TestCiphertextSerializationRejectsCorruption(t *testing.T) {
 	if err := back.UnmarshalBinary(bad); err == nil {
 		t.Error("expected level-mismatch rejection")
 	}
-}
-
-func FuzzCiphertextUnmarshal(f *testing.F) {
-	params := TestParams()
-	ctx, err := NewContext(params)
-	if err != nil {
-		f.Fatal(err)
+	// B and A at the same level but over different ring degrees.
+	half := &ring.Poly{Coeffs: make([][]uint64, ct.Level+1)}
+	for i := range half.Coeffs {
+		half.Coeffs[i] = make([]uint64, h.ctx.Params.N()/2)
 	}
-	p := ctx.RQ.NewPoly(1)
-	ct := &Ciphertext{B: p, A: ctx.RQ.NewPoly(1), Level: 1, Scale: params.Scale}
-	blob, _ := ct.MarshalBinary()
-	f.Add(blob)
-	f.Add([]byte{})
-	f.Add(blob[:20])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var back Ciphertext
-		if err := back.UnmarshalBinary(data); err == nil {
-			if back.Level < 0 || back.Scale <= 0 {
-				t.Fatal("accepted implausible ciphertext")
-			}
-		}
-	})
+	mixed, err := newCt(ct.B, half, ct.Level, ct.Scale).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.UnmarshalBinary(mixed); err == nil {
+		t.Error("expected degree-mismatch rejection")
+	}
 }

@@ -309,20 +309,6 @@ func (e *Extender) modDownLimbs(level int, aQ, conv, out *Poly) {
 	}
 }
 
-// ModDownEager is ModDown on the eager conversion kernel (ConvertN, a
-// reduction per accumulated term). Byte-identical to ModDown; it exists so
-// the eager keyswitch reference path stays eager end to end and the
-// fused-vs-eager benchmark pair measures the lazy pipeline against the
-// original arithmetic, not against a half-upgraded baseline.
-func (e *Extender) ModDownEager(level int, aQ, aP, out *Poly) {
-	conv := e.RQ.Borrow(level)
-	e.pToQ.ConvertN(len(e.RP.Moduli)-1, aP.Coeffs, conv.Coeffs, level+1)
-	for i := 0; i <= level; i++ {
-		e.modDownChannel(i, aQ, conv, out)
-	}
-	e.RQ.Release(conv)
-}
-
 // modDownChannel applies the subtract-and-scale step of ModDown in channel i.
 //
 //alchemist:hot

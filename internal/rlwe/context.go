@@ -1,8 +1,9 @@
-// Package rlwe is the RNS hybrid-keyswitching core that CKKS and BGV share:
-// the Q and P rings with their digit converters, the key types and the
-// gadget key generation, the digit-batched decomposition, the fused lazy
-// keyswitch, the hoisted Galois apply and the NTT-domain tensor with
-// relinearization. To the paper's accelerator the two schemes are one
+// Package rlwe is the RNS RLWE core that CKKS, BGV and BFV share: the Q and
+// P rings with their digit converters, the key types and the gadget key
+// generation, the ciphertext with its wire codec, encryption, decryption,
+// the key-free ciphertext arithmetic, the digit-batched decomposition, the
+// fused lazy keyswitch, the hoisted Galois apply and the NTT-domain tensor
+// with relinearization. To the paper's accelerator the schemes are one
 // workload (NTT, Bconv, DecompPolyMult); this package is that workload in
 // software, written once.
 //
@@ -10,9 +11,10 @@
 // every keyswitch. CKKS divides exactly (ring.Extender.ModDown); BGV must
 // also keep the plaintext modulo t, so it supplies a t-corrected ModDown.
 // The hook is bound once when the context is built, so the hot paths call
-// it without allocating. Everything that depends on the message encoding
-// (parameters, encoders, encryption, scale and rescaling, wire formats)
-// stays in the scheme packages.
+// it without allocating. The scheme also supplies its secret and error
+// samplers and error scale to key generation and encryption. Everything
+// that depends on the message encoding (parameters, encoders, scale and
+// rescaling) stays in the scheme packages.
 package rlwe
 
 import (

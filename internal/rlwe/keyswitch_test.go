@@ -55,9 +55,30 @@ func referenceKeySwitch(ctx *rlwe.Context, level int, c *ring.Poly, swk *rlwe.Sw
 	return outB, outA
 }
 
+// eagerModDown is the plain division by P written out eagerly: the
+// reduce-per-term basis conversion (ConvertN) of the P half into Q, then the
+// textbook subtract-and-scale by P⁻¹ mod q_i. It is the CKKS reference's
+// ModDown, so the comparison covers the whole lazy pipeline.
+func eagerModDown(ctx *rlwe.Context) rlwe.ModDownFunc {
+	q, p := ctx.Params.Q, ctx.Params.P
+	pToQ := ring.NewBasisConverter(p, q)
+	pInv := make([]uint64, len(q))
+	for i, qi := range q {
+		pInv[i] = modmath.InvMod(ctx.PModQ[i], qi)
+	}
+	return func(level int, aQ, aP, out *ring.Poly) {
+		conv := ctx.RQ.NewPoly(level)
+		pToQ.ConvertN(len(p)-1, aP.Coeffs, conv.Coeffs, level+1)
+		for i := 0; i <= level; i++ {
+			for k, x := range aQ.Coeffs[i] {
+				out.Coeffs[i][k] = modmath.MulMod(modmath.SubMod(x, conv.Coeffs[i][k], q[i]), pInv[i], q[i])
+			}
+		}
+	}
+}
+
 // fixture is one keyed context with the ModDown its reference runs: the
-// eager ring.Extender.ModDownEager for CKKS (so the comparison covers the
-// whole lazy pipeline), the context's own t-exact ModDown for BGV.
+// eagerModDown for CKKS, the context's own t-exact ModDown for BGV.
 type fixture struct {
 	ctx     *rlwe.Context
 	modDown rlwe.ModDownFunc
@@ -72,7 +93,7 @@ func ckksFixture(t testing.TB, params ckks.Parameters) fixture {
 	}
 	return fixture{
 		ctx:     ctx.Context,
-		modDown: ctx.Ext.ModDownEager,
+		modDown: eagerModDown(ctx.Context),
 		newKG:   func(seed int64) *rlwe.KeyGenerator { return ckks.NewKeyGenerator(ctx, seed).KeyGenerator },
 	}
 }
