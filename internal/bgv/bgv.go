@@ -4,11 +4,13 @@
 // Z_t packed into slots via the negacyclic NTT modulo t; homomorphic
 // arithmetic is exact modulo t.
 //
-// The hybrid (dnum) key switching is the RLWE core CKKS also runs
-// (internal/rlwe). BGV scales every ciphertext and key error by t and binds
-// the core to a t-exact ModDown (an exact centered conversion plus the BGV
-// modulus-switch correction), and its rescale is t-exact the same way, so
-// noise management never perturbs the plaintext.
+// The hybrid (dnum) key switching and the modulus switch are the RLWE core
+// CKKS also runs (internal/rlwe): BGV only hands the core its plaintext
+// modulus t. The core scales every ciphertext and key error by t, and its
+// divisions by P (ModDown) and by q_l (Rescale) subtract residues that are
+// multiples of t — the scaled modulus switch of Gentry–Halevi–Smart in RNS
+// form — so, with every modulus ≡ 1 (mod t), noise management never
+// perturbs the plaintext.
 package bgv
 
 import (
@@ -99,21 +101,12 @@ func TestParams() Parameters {
 }
 
 // Context carries the shared RLWE core (rings, converters, keyswitch
-// tables; see internal/rlwe) for a BGV parameter set, bound to the t-exact
-// ModDown, plus the plaintext ring.
+// tables; see internal/rlwe) for a BGV parameter set, plus the plaintext
+// ring.
 type Context struct {
 	*rlwe.Context
 	Params Parameters
 	RT     *ring.SubRing // plaintext ring Z_t[X]/(X^N+1) for slot packing
-
-	// pToQT converts the special basis P into [t, q_0, q_1, …] so the
-	// t-corrected ModDown can read the centered value modulo t.
-	pToQT *ring.BasisConverter
-	pInvQ []uint64 // P^{-1} mod q_i
-
-	// scratch recycles the t-corrected ModDown conversion buffers, whose
-	// [t, q_0..q_level] shape fits neither ring's polynomial arena.
-	scratch ring.BufPool
 }
 
 // NewContext instantiates a context.
@@ -125,18 +118,11 @@ func NewContext(params Parameters) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{Params: params, RT: rt,
-		pToQT: ring.NewBasisConverter(params.P, append([]uint64{params.T}, params.Q...))}
-	// The core calls modDownT only after construction, by when ctx is whole.
-	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum}, ctx.modDownT)
+	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum, T: params.T})
 	if err != nil {
 		return nil, err
 	}
-	ctx.Context = core
-	for i, qi := range params.Q {
-		ctx.pInvQ = append(ctx.pInvQ, modmath.InvMod(core.PModQ[i], qi))
-	}
-	return ctx, nil
+	return &Context{Context: core, Params: params, RT: rt}, nil
 }
 
 // Encoder packs Z_t vectors into plaintext polynomials via the NTT over t.
@@ -221,7 +207,7 @@ type (
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
 	secret, noise := samplers(rng, ctx.Params.Sigma)
-	return rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise, ctx.Params.T)
+	return rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise)
 }
 
 // samplers returns BGV's secret (uniform ternary) and error (truncated

@@ -1,6 +1,7 @@
 package bgv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -189,6 +190,50 @@ func TestMultiplicationDepthExact(t *testing.T) {
 	}
 	if _, err := h.ev.Rescale(ct); err == nil {
 		t.Error("expected level-0 rescale error")
+	}
+}
+
+// TestRescaleWidePrimes runs MulRelin → Rescale on chains of 45- to 55-bit
+// primes: the modulus switch must stay exact at any width the parameters
+// admit, not only where an int64 happens to hold q_l·t.
+func TestRescaleWidePrimes(t *testing.T) {
+	for _, bits := range []uint64{45, 47, 50, 55} {
+		t.Run(fmt.Sprintf("%dbit", bits), func(t *testing.T) {
+			params, err := GenParams(7, 2, 3, 1, bits, bits+1, 65537)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, err := NewContext(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := NewEncoder(ctx)
+			kg := NewKeyGenerator(ctx, 41)
+			sk := kg.GenSecretKey()
+			et := NewEncryptor(ctx, kg.GenPublicKey(sk), 42)
+			ev := NewEvaluator(ctx, kg.GenRelinKey(sk))
+			n, tm := params.N(), params.T
+			x, y := randSlots(n, tm, 43), randSlots(n, tm, 44)
+			encrypt := func(v []uint64) *Ciphertext {
+				pt, err := enc.Encode(v, params.MaxLevel())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return et.Encrypt(pt, params.MaxLevel())
+			}
+			prod, err := ev.MulRelin(encrypt(x), encrypt(y))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ev.Rescale(prod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				x[i] = x[i] * y[i] % tm
+			}
+			assertEq(t, enc.Decode(NewDecryptor(ctx, sk).DecryptPoly(res), res.Level), x, "mulrelin+rescale")
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package bgv
 import (
 	"fmt"
 
-	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
 	"alchemist/internal/rlwe"
@@ -22,7 +21,7 @@ type Encryptor struct {
 // from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
 	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
-	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise, ctx.Params.T)}
+	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise)}
 }
 
 // Encrypt encrypts a plaintext polynomial at the given level:
@@ -46,8 +45,7 @@ func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
 }
 
 // Evaluator performs homomorphic operations. It embeds the shared RLWE
-// evaluator, whose fused keyswitch runs through the context's t-exact
-// ModDown.
+// evaluator, whose fused keyswitch ends in the core's t-scaled ModDown.
 type Evaluator struct {
 	*rlwe.Evaluator
 	ctx *Context
@@ -107,85 +105,18 @@ func (ev *Evaluator) RotateRows(ct *Ciphertext, r int, gk *SwitchingKey) (*Ciphe
 	return ev.ApplyGalois(ct, ev.ctx.RQ.GaloisElementForRotation(r), gk)
 }
 
-// modDownT is the ModDown the context binds into the shared keyswitch. It
-// divides an accumulator over Q·P by P with the BGV t-correction:
-// the subtracted representative δ satisfies δ ≡ x (mod P) and δ ≡ 0 (mod t)
-// (δ = centered([x]_P) + P·w, w ≡ -[x]_P (mod t)), so the result stays
-// ≡ x (mod t) while noise only grows by ≤ t.
-func (ctx *Context) modDownT(level int, aQ, aP, out *ring.Poly) {
-	n := ctx.Params.N()
-	t := ctx.Params.T
-	// Exact centered conversion into [t, q_0..q_level]. The channel backing
-	// (plus the w correction vector) comes from one scratch buffer — the
-	// [t|Q] shape fits neither ring's polynomial pools — so only the small
-	// header slice is allocated.
-	flat := ctx.scratch.Get((level + 3) * n)
-	conv := make([][]uint64, level+2)
-	for i := range conv {
-		conv[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	w := flat[(level+2)*n:]
-	ctx.pToQT.ConvertExact(len(ctx.Params.P)-1, aP.Coeffs, conv, level+2, true)
-	convT := conv[0]
-	for k := 0; k < n; k++ {
-		w[k] = modmath.NegMod(convT[k], t) // w ≡ -[x]_P (mod t); P ≡ 1 (mod t)
-	}
-	for i := 0; i <= level; i++ {
-		qi := ctx.RQ.Moduli[i]
-		pq := ctx.PModQ[i]
-		inv := ctx.pInvQ[i]
-		invS := modmath.ShoupPrecomp(inv, qi)
-		src, ci, dst := aQ.Coeffs[i], conv[i+1], out.Coeffs[i]
-		for k := 0; k < n; k++ {
-			delta := modmath.AddMod(ci[k], modmath.MulMod(w[k], pq, qi), qi)
-			d := modmath.SubMod(src[k], delta, qi)
-			dst[k] = modmath.MulModShoup(d, inv, invS, qi)
-		}
-	}
-	ctx.scratch.Put(flat)
-}
-
-// Rescale performs the BGV modulus switch: divides the ciphertext by its
-// last modulus q_l (≡ 1 mod t) with a correction δ' ≡ [x]_{q_l} (mod q_l)
-// and ≡ 0 (mod t), shrinking noise by ≈ q_l without touching the plaintext.
+// Rescale performs the BGV modulus switch: it divides the ciphertext by its
+// last modulus q_l with the core's t-scaled rescale, whose subtracted
+// residue is ≡ 0 (mod t). Since q_l ≡ 1 (mod t) the plaintext is untouched
+// while the noise shrinks by ≈ q_l. The result's polynomials come from the
+// ring arena.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level == 0 {
 		return nil, fmt.Errorf("bgv: no level left to rescale")
 	}
-	ctx := ev.ctx
-	level := ct.Level
-	out := &Ciphertext{
-		B:     ctx.RQ.NewPoly(level - 1),
-		A:     ctx.RQ.NewPoly(level - 1),
-		Level: level - 1,
-	}
-	ev.modSwitchPoly(level, ct.B, out.B)
-	ev.modSwitchPoly(level, ct.A, out.A)
-	return out, nil
-}
-
-func (ev *Evaluator) modSwitchPoly(level int, in, out *ring.Poly) {
-	ctx := ev.ctx
-	t := int64(ctx.Params.T)
-	ql := ctx.RQ.Moduli[level]
-	n := ctx.Params.N()
-	// Per-channel inverse of q_l.
-	for i := 0; i < level; i++ {
-		qi := ctx.RQ.Moduli[i]
-		inv := modmath.InvMod(ctx.RQ.SubRings[i].ReduceWord(ql), qi)
-		invS := modmath.ShoupPrecomp(inv, qi)
-		for k := 0; k < n; k++ {
-			// δ' = centered([x]_{q_l}) + q_l·w with w ≡ -δ (mod t); since
-			// q_l ≡ 1 (mod t), δ' ≡ 0 (mod t) and ≡ [x]_{q_l} (mod q_l).
-			dc := ring.SignedCoeff(in.Coeffs[level][k], ql)
-			w := (-dc) % t
-			if w < 0 {
-				w += t
-			}
-			delta := dc + int64(ql)*w // |δ'| < q_l·(t+1): fits int64 for 45-bit q_l, 17-bit t
-			dmod := modmath.ReduceSigned(delta, qi)
-			d := modmath.SubMod(in.Coeffs[i][k], dmod, qi)
-			out.Coeffs[i][k] = modmath.MulModShoup(d, inv, invS, qi)
-		}
-	}
+	rq, level := ev.ctx.RQ, ct.Level-1
+	b, a := rq.Borrow(level), rq.Borrow(level)
+	ev.ctx.Ext.RescaleByLastModulus(ct.Level, ct.B, b)
+	ev.ctx.Ext.RescaleByLastModulus(ct.Level, ct.A, a)
+	return &Ciphertext{B: b, A: a, Level: level}, nil //alchemist:owns the rescaled halves are the caller's to release
 }

@@ -209,3 +209,62 @@ func TestToLWEValidation(t *testing.T) {
 		t.Fatal("expected slot-count error")
 	}
 }
+
+// TestSignPipelinePhaseMargin guards the decision margin of the
+// xscheme-sign benchmark pipeline at its parameters: x² − 0.25 computed
+// under CKKS (square, rescale, add the plaintext −0.25) and bridged to TFHE,
+// on inputs with |x| ∉ [0.4, 0.6] drawn as the benchmark draws them. There
+// |x² − 0.25| ≥ 0.09, so every phase has a margin of 0.09·TorusScale to the
+// sign boundary; the bridged phase error must stay under half of it, or the
+// sign bootstraps downstream lose their headroom.
+func TestSignPipelinePhaseMargin(t *testing.T) {
+	h := setup(t)
+	n := h.ctx.Params.Slots()
+	ev := ckks.NewEvaluator(h.ctx, h.kg.GenEvaluationKeySet(h.sk, nil, false))
+	rng := rand.New(rand.NewSource(77))
+	const rounds = 10
+	worst, limit := 0.0, math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		z := make([]complex128, n)
+		quarter := make([]complex128, n)
+		for i := range z {
+			mag := 0.8 * rng.Float64()
+			if mag >= 0.4 {
+				mag += 0.2
+			}
+			if rng.Intn(2) == 0 {
+				mag = -mag
+			}
+			z[i], quarter[i] = complex(mag, 0), -0.25
+		}
+		ct := h.encrypt(t, z)
+		sq, err := ev.MulRelin(ct, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err = ev.Rescale(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := h.enc.Encode(quarter, sq.Level, sq.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx := ev.AddPlain(sq, pt)
+		scale := h.br.TorusScale(fx)
+		limit = min(limit, 0.09*scale/2)
+		lwes, err := h.br.ToLWE(fx, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, l := range lwes {
+			x := real(z[j])
+			phase := tfhe.DoubleFromTorus(h.tf.LweKey.Phase(l))
+			worst = max(worst, math.Abs(phase-(x*x-0.25)*scale))
+		}
+	}
+	t.Logf("%d values: max phase error %.5f, limit %.5f", rounds*n, worst, limit)
+	if worst >= limit {
+		t.Fatalf("max bridged phase error %.5f reaches half the minimum sign margin %.5f", worst, limit)
+	}
+}

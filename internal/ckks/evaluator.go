@@ -89,7 +89,7 @@ type Encryptor struct {
 // from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
 	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
-	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise, 1)}
+	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise)}
 }
 
 // Encrypt encrypts the coefficient-domain plaintext pt at the given level

@@ -36,7 +36,7 @@ func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
 	secret, noise := samplers(rng, ctx.Params.Sigma)
 	return &KeyGenerator{
-		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise, 1),
+		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise),
 		ctx:          ctx,
 		rng:          rng,
 	}

@@ -227,8 +227,8 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 	rp.INTT(levelP, acc0P)
 	rp.INTT(levelP, acc1P)
 	sum := ctx.borrowCt(level, ct.Scale*ctx.Params.Scale)
-	ctx.ModDown(level, acc0Q, acc0P, sum.B)
-	ctx.ModDown(level, acc1Q, acc1P, sum.A)
+	ctx.Ext.ModDown(level, acc0Q, acc0P, sum.B)
+	ctx.Ext.ModDown(level, acc1Q, acc1P, sum.A)
 	rq.Release(acc0Q)
 	rq.Release(acc1Q)
 	rp.Release(acc0P)

@@ -165,13 +165,13 @@ type Context struct {
 	ctPool sync.Pool
 }
 
-// NewContext instantiates rings and precomputations for params. CKKS
-// divides by P with the plain ring.Extender.ModDown.
+// NewContext instantiates rings and precomputations for params. CKKS keeps
+// no plaintext modulus (t = 1), so its divisions are the plain ones.
 func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum}, nil)
+	core, err := rlwe.NewContext(rlwe.Parameters{LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum, T: 1})
 	if err != nil {
 		return nil, err
 	}

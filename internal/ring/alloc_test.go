@@ -92,7 +92,7 @@ func TestAutomorphismNTTAllocFree(t *testing.T) {
 
 func TestModUpModDownAllocFree(t *testing.T) {
 	rq, rp := allocRings(t)
-	e := NewExtender(rq, rp)
+	e := NewExtender(rq, rp, 1)
 	level := rq.MaxLevel()
 	a := rq.NewPoly(level)
 	NewSampler(rq, 3).Uniform(level, a)
@@ -113,17 +113,18 @@ func TestModUpModDownAllocFree(t *testing.T) {
 		t.Errorf("warm ModDown allocates %.1f per op, want 0", n)
 	}
 
-	e.ModDownExact(level, a, aP, out) // warm qModDst cache
+	et := NewExtender(rq, rp, 65537)
+	et.ModDown(level, a, aP, out) // warm arena + scratch
 	if n := testing.AllocsPerRun(50, func() {
-		e.ModDownExact(level, a, aP, out)
+		et.ModDown(level, a, aP, out)
 	}); n != 0 {
-		t.Errorf("warm ModDownExact allocates %.1f per op, want 0", n)
+		t.Errorf("warm t-scaled ModDown allocates %.1f per op, want 0", n)
 	}
 }
 
 func TestRescaleAllocFree(t *testing.T) {
 	rq, rp := allocRings(t)
-	e := NewExtender(rq, rp)
+	e := NewExtender(rq, rp, 1)
 	level := rq.MaxLevel()
 	a := rq.NewPoly(level)
 	NewSampler(rq, 4).Uniform(level, a)
@@ -133,6 +134,13 @@ func TestRescaleAllocFree(t *testing.T) {
 		e.RescaleByLastModulus(level, a, out)
 	}); n != 0 {
 		t.Errorf("RescaleByLastModulus allocates %.1f per op, want 0", n)
+	}
+	et := NewExtender(rq, rp, 65537)
+	et.RescaleByLastModulus(level, a, out) // warm the scratch channel
+	if n := testing.AllocsPerRun(50, func() {
+		et.RescaleByLastModulus(level, a, out)
+	}); n != 0 {
+		t.Errorf("t-scaled RescaleByLastModulus allocates %.1f per op, want 0", n)
 	}
 }
 

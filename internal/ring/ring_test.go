@@ -293,7 +293,7 @@ func TestModUpModDownRoundTrip(t *testing.T) {
 	}
 	rQ, _ := NewRing(n, qs)
 	rP, _ := NewRing(n, ps)
-	ext := NewExtender(rQ, rP)
+	ext := NewExtender(rQ, rP, 1)
 	level := rQ.MaxLevel()
 
 	P := big.NewInt(1)
@@ -351,7 +351,7 @@ func TestRescaleByLastModulus(t *testing.T) {
 	rQ, _ := NewRing(n, qs)
 	rP, _ := NewRing(n, qs[:1]) // dummy P basis; rescale only needs Q tables
 	_ = rP
-	ext := NewExtender(rQ, rQ)
+	ext := NewExtender(rQ, rQ, 1)
 	level := rQ.MaxLevel()
 	ql := qs[level]
 
@@ -367,6 +367,61 @@ func TestRescaleByLastModulus(t *testing.T) {
 	ext.RescaleByLastModulus(level, x, out)
 	if !rQ.Equal(level-1, out, y) {
 		t.Fatal("rescale of exact multiple failed")
+	}
+}
+
+// TestDivisionsKeepT checks the t-scaled ModDown and rescale against their
+// defining property on big integers: for an input x over Q·D (D = P, or
+// D = q_level), the residue the division subtracted, δ = (x - D·out) mod Q·D,
+// must be ≡ 0 (mod t) and lie in [0, t·len(D)·D). A wrong quotient leaves a
+// δ that is uniform modulo Q·D instead.
+func TestDivisionsKeepT(t *testing.T) {
+	const n, tm = 32, 65537
+	qs, err := modmath.GenerateNTTPrimes(50, uint64(2*n), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rQ, _ := NewRing(n, qs[:4])
+	rP, _ := NewRing(n, qs[4:])
+	ext := NewExtender(rQ, rP, tm)
+	level := rQ.MaxLevel()
+	coeff := func(moduli []uint64, k int, polys ...*Poly) *big.Int {
+		var res []uint64
+		for _, p := range polys {
+			for _, c := range p.Coeffs {
+				res = append(res, c[k])
+			}
+		}
+		return modmath.CRTReconstruct(res, moduli)
+	}
+	prod := func(moduli []uint64) *big.Int {
+		x := big.NewInt(1)
+		for _, q := range moduli {
+			x.Mul(x, new(big.Int).SetUint64(q))
+		}
+		return x
+	}
+	check := func(name string, x, out, d, m *big.Int, terms int64) {
+		t.Helper()
+		delta := new(big.Int).Mul(d, out)
+		delta.Sub(x, delta).Mod(delta, m)
+		bound := new(big.Int).Mul(d, big.NewInt(tm*terms))
+		if new(big.Int).Mod(delta, big.NewInt(tm)).Sign() != 0 || delta.Cmp(bound) >= 0 {
+			t.Fatalf("%s: subtracted residue %v is not a multiple of t below t·%d·D", name, delta, terms)
+		}
+	}
+
+	xQ, xP := randPoly(rQ, level, 31), randPoly(rP, rP.MaxLevel(), 32)
+	out := rQ.NewPoly(level)
+	ext.ModDown(level, xQ, xP, out)
+	for k := 0; k < n; k++ {
+		check("ModDown", coeff(qs, k, xQ, xP), coeff(qs[:4], k, out), prod(qs[4:]), prod(qs), int64(len(rP.Moduli)))
+	}
+
+	rs := rQ.NewPoly(level - 1)
+	ext.RescaleByLastModulus(level, xQ, rs)
+	for k := 0; k < n; k++ {
+		check("Rescale", coeff(qs[:4], k, xQ), coeff(qs[:3], k, rs), new(big.Int).SetUint64(qs[3]), prod(qs[:4]), 1)
 	}
 }
 

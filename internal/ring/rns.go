@@ -60,6 +60,15 @@ const convBlock = 64
 
 // NewBasisConverter precomputes conversion tables from basis src to basis dst.
 func NewBasisConverter(src, dst []uint64) *BasisConverter {
+	return newBasisConverter(src, dst, 1)
+}
+
+// newBasisConverter builds the converter with its hats scaled by t: step 1
+// multiplies by (t·q̂_i)^{-1} and step 2 by t·q̂_i, so the output is
+// t·Bconv([t^{-1}·x]_src) — the t-scaled conversion ModDown runs on — at the
+// cost of the plain one. t = 1 gives the plain tables; t must be invertible
+// modulo every source modulus. ConvertExact assumes the plain tables.
+func newBasisConverter(src, dst []uint64, t uint64) *BasisConverter {
 	L := len(src)
 	bc := &BasisConverter{
 		Src:           append([]uint64(nil), src...),
@@ -105,6 +114,7 @@ func NewBasisConverter(src, dst []uint64) *BasisConverter {
 		for i := 0; i <= l; i++ {
 			qi := new(big.Int).SetUint64(src[i])
 			hat := new(big.Int).Div(Ql, qi)
+			hat.Mul(hat, new(big.Int).SetUint64(t))
 			inv := tmp.Mod(hat, qi)
 			invU := modmath.InvMod(inv.Uint64(), src[i])
 			bc.qiHatInv[l][i] = invU
@@ -196,12 +206,26 @@ func (bc *BasisConverter) ConvertN(srcLevel int, in, out [][]uint64, nDst int) {
 
 // Extender bundles the conversions needed by hybrid key switching between
 // basis Q = {q_0..q_L} and the special basis P = {p_0..p_K-1}: ModUp
-// (eq. 2), ModDown (eq. 3) and CKKS rescaling.
+// (eq. 2), ModDown (eq. 3) and rescaling by the last modulus.
+//
+// Both divisions — by P in ModDown, by q_l in the rescale — keep a
+// plaintext modulus t (1 for CKKS) through the identity
+// Div_t(x) = t·Div_1(t^{-1}·x) mod Q. The residue δ they subtract is
+// t·[t^{-1}·x]_D plus the conversion overshoot: δ ≡ x (mod D) and
+// δ ≡ 0 (mod t), so when D ≡ 1 (mod t) the quotient keeps x's plaintext
+// modulo t, and the noise grows by less than t·len(D). For t = 1 both are
+// the plain divisions with the plain constants.
 type Extender struct {
 	RQ, RP *Ring // rings over Q and P (same degree)
 
 	qToP *BasisConverter
-	pToQ *BasisConverter
+	pToQ *BasisConverter // t-scaled (newBasisConverter)
+
+	t uint64
+	// tInv[i] = t^{-1} mod q_i and tQ[i] = t mod q_i, with their Shoup
+	// forms: the rescale's two scalings of the dropped channel.
+	tInv, tInvShoup []uint64
+	tQ, tQShoup     []uint64
 
 	// pInv[i] = P^{-1} mod q_i, for ModDown.
 	pInv      []uint64
@@ -220,13 +244,16 @@ type Extender struct {
 }
 
 // NewExtender builds an Extender for rings rQ (main basis) and rP (special
-// basis). Both must share the polynomial degree.
-func NewExtender(rQ, rP *Ring) *Extender {
+// basis) whose divisions keep the plaintext modulus t (1 for CKKS). Both
+// rings must share the polynomial degree, and t must be invertible modulo
+// every modulus of both.
+func NewExtender(rQ, rP *Ring, t uint64) *Extender {
 	e := &Extender{
 		RQ:   rQ,
 		RP:   rP,
 		qToP: NewBasisConverter(rQ.Moduli, rP.Moduli),
-		pToQ: NewBasisConverter(rP.Moduli, rQ.Moduli),
+		pToQ: newBasisConverter(rP.Moduli, rQ.Moduli, t),
+		t:    t,
 	}
 	// Both conversions ride the main ring's scheduler: ModUp/ModDown tiles
 	// split across its workers alongside the limb-parallel channel steps.
@@ -236,15 +263,20 @@ func NewExtender(rQ, rP *Ring) *Extender {
 	for _, p := range rP.Moduli {
 		P.Mul(P, new(big.Int).SetUint64(p))
 	}
-	e.pInv = make([]uint64, len(rQ.Moduli))
-	e.pInvShoup = make([]uint64, len(rQ.Moduli))
+	L := len(rQ.Moduli)
+	e.pInv, e.pInvShoup = make([]uint64, L), make([]uint64, L)
+	e.tInv, e.tInvShoup = make([]uint64, L), make([]uint64, L)
+	e.tQ, e.tQShoup = make([]uint64, L), make([]uint64, L)
 	tmp := new(big.Int)
 	for i, qi := range rQ.Moduli {
 		pModQi := tmp.Mod(P, new(big.Int).SetUint64(qi)).Uint64()
 		e.pInv[i] = modmath.InvMod(pModQi, qi)
 		e.pInvShoup[i] = modmath.ShoupPrecomp(e.pInv[i], qi)
+		e.tQ[i] = rQ.SubRings[i].ReduceWord(t)
+		e.tQShoup[i] = modmath.ShoupPrecomp(e.tQ[i], qi)
+		e.tInv[i] = modmath.InvMod(e.tQ[i], qi)
+		e.tInvShoup[i] = modmath.ShoupPrecomp(e.tInv[i], qi)
 	}
-	L := len(rQ.Moduli)
 	e.qlInv = make([][]uint64, L)
 	e.qlInvShoup = make([][]uint64, L)
 	for l := 1; l < L; l++ {
@@ -281,9 +313,12 @@ func (e *Extender) ModUp(level int, a *Poly, outP *Poly) {
 }
 
 // ModDown implements eq. (3): given aQ over Q (levels 0..level) and aP over
-// the full special basis P, computes [ (a - Bconv(aP)) · P^{-1} ]_{q_i} into
-// out. All polynomials are in the coefficient domain. The conversion target
-// is borrowed from the ring arena, so the steady state is allocation-free.
+// the full special basis P, computes [ (a - δ) · P^{-1} ]_{q_i} into out,
+// where δ = t·Bconv([t^{-1}·a]_P) (for t = 1 the plain Bconv(aP)). The
+// scalings ride the conversion's constants — t^{-1} in step 1, t in step 2 —
+// so every t runs the same kernel at the same cost. All polynomials are in
+// the coefficient domain. The conversion target is borrowed from the ring
+// arena, so the steady state is allocation-free.
 //
 //alchemist:hot
 func (e *Extender) ModDown(level int, aQ, aP, out *Poly) {
@@ -330,44 +365,75 @@ func (e *Extender) modDownChannel(i int, aQ, conv, out *Poly) {
 }
 
 // RescaleByLastModulus divides a (levels 0..level, coefficient domain) by
-// q_level with rounding, producing a poly at level-1:
-// out_i = (a_i - a_level) · q_level^{-1} mod q_i. This is the CKKS rescale.
-// Panics if level == 0 (there is no modulus left to drop).
+// q_level, producing a poly at level-1:
+// out_i = (a_i - δ) · q_level^{-1} mod q_i, where δ = t·[t^{-1}·a_level]_{q_level}
+// (for t = 1 the CKKS rescale, δ = a_level). For t ≠ 1 the scaled residue
+// [t^{-1}·a_level] is formed once into arena scratch, and each channel
+// multiplies it back by t. Panics if level == 0 (there is no modulus left to
+// drop).
 //
-// The cross-channel reduction of a_level into q_i is specialized on the
-// modulus relation: when q_level ≤ q_i the residue is already valid, when
-// q_level ≤ 2q_i one conditional subtraction suffices, and only otherwise
-// does the Barrett fold run. With the repository's parameter shapes (one
-// wide q_0, narrow scale primes) every channel takes one of the two cheap
-// cases. Outputs are byte-identical to the reference formula.
+// For t = 1 the cross-channel reduction of a_level into q_i is specialized
+// on the modulus relation: when q_level ≤ q_i the residue is already valid,
+// when q_level ≤ 2q_i one conditional subtraction suffices, and only
+// otherwise does the Barrett fold run. With the repository's CKKS parameter
+// shapes (one wide q_0, narrow scale primes) every channel takes one of the
+// two cheap cases. Outputs are byte-identical to the reference formula.
 //
 //alchemist:hot
 func (e *Extender) RescaleByLastModulus(level int, a, out *Poly) {
 	if level == 0 {
 		panic("ring: cannot rescale below level 0")
 	}
+	if e.t == 1 {
+		e.rescaleLimbs(level, a, a.Coeffs[level], out)
+		return
+	}
+	ql := e.RQ.Moduli[level]
+	inv, invS := e.tInv[level], e.tInvShoup[level]
+	last := e.RQ.Borrow(0)
+	for k, v := range a.Coeffs[level] {
+		last.Coeffs[0][k] = modmath.MulModShoup(v, inv, invS, ql)
+	}
+	e.rescaleLimbs(level, a, last.Coeffs[0], out)
+	e.RQ.Release(last)
+}
+
+// rescaleLimbs runs the rescale step over channels 0..level-1, limb-
+// parallel via the op-coded scheduler when workers are configured. last is
+// the dropped residue channel, owned by the caller for the whole call.
+func (e *Extender) rescaleLimbs(level int, a *Poly, last []uint64, out *Poly) {
 	if parts := e.RQ.parWidth(level); parts > 1 {
 		j := e.RQ.getJob()
-		j.op, j.ext, j.level, j.a, j.out, j.tasks = opRescale, e, level, a, out, level
+		j.op, j.ext, j.level, j.a, j.last, j.out, j.tasks = opRescale, e, level, a, last, out, level
 		e.RQ.runParallel(j, parts)
 		return
 	}
 	for i := 0; i < level; i++ {
-		e.rescaleChannel(level, i, a, out)
+		e.rescaleChannel(level, i, a, last, out)
 	}
 }
 
-// rescaleChannel applies the rescale step out_i = (a_i - a_level)·q_level^{-1}
-// in channel i, with the a_level→q_i reduction specialized per the doc above.
+// rescaleChannel applies the rescale step out_i = (a_i - δ)·q_level^{-1} in
+// channel i, with the last→q_i reduction specialized per the doc above.
 //
 //alchemist:hot
-func (e *Extender) rescaleChannel(level, i int, a, out *Poly) {
+func (e *Extender) rescaleChannel(level, i int, a *Poly, last []uint64, out *Poly) {
 	n := e.RQ.N
 	ql := e.RQ.Moduli[level]
-	last := a.Coeffs[level][:n:n]
+	last = last[:n:n]
 	qi := e.RQ.Moduli[i]
 	inv, invS := e.qlInv[level][i], e.qlInvShoup[level][i]
 	src, dst := a.Coeffs[i][:n:n], out.Coeffs[i][:n:n]
+	if e.t != 1 {
+		// δ = t·last (mod q_i), with last = [t^{-1}·a_level]_{q_level}.
+		sub := e.RQ.SubRings[i]
+		tq, tqS := e.tQ[i], e.tQShoup[i]
+		for k := 0; k < n; k++ {
+			d := src[k] + qi - modmath.MulModShoup(sub.ReduceWord(last[k]), tq, tqS, qi) // < 2q_i
+			dst[k] = condSubMask(modmath.MulModShoupLazy(d, inv, invS, qi), qi)
+		}
+		return
+	}
 	if useNTTKernIFMA && qi < 1<<51 && ql <= 2*qi && n&7 == 0 {
 		// One kernel covers both cheap reduction cases: its leading condSub
 		// of last is the identity when q_l ≤ q_i and exactly the scalar

@@ -10,8 +10,10 @@ import (
 // which returns x + u·Q for a small overshoot u, ConvertExact subtracts the
 // overshoot by estimating u = round(Σ y_i/q_i) in floating point. With
 // centered=true the result is the centered representative (x - Q when
-// x > Q/2), which the BGV ModDown needs so that key-switch noise does not
-// leak into the plaintext modulo t.
+// x > Q/2), the representative an exact BGV division or decode reads. No
+// production path runs it: the t-scaled ModDown and rescale of the
+// Extender keep the plaintext without it, and the tests use it as their
+// independent oracle. It assumes the plain (unscaled) converter tables.
 //
 // The float estimate is exact unless the fractional sum lands within the
 // accumulated rounding error (≈2^-45 per term) of a half-integer, which the
@@ -115,16 +117,4 @@ func (bc *BasisConverter) ConvertExact(srcLevel int, in, out [][]uint64, nDst in
 		}
 	}
 	bc.scratch.Put(y)
-}
-
-// ModDownExact is ModDown with an exact, centered P→Q conversion: the
-// output equals (x - [x]_P^centered)·P^{-1} with no ±K overshoot error.
-// BGV key switching requires this so the correction stays ≡ 0 (mod t).
-//
-//alchemist:hot
-func (e *Extender) ModDownExact(level int, aQ, aP, out *Poly) {
-	conv := e.RQ.Borrow(level)
-	e.pToQ.ConvertExact(len(e.RP.Moduli)-1, aP.Coeffs, conv.Coeffs, level+1, true)
-	e.modDownLimbs(level, aQ, conv, out)
-	e.RQ.Release(conv)
 }

@@ -74,15 +74,24 @@ func TestConvertExactMatchesBigInt(t *testing.T) {
 	}
 }
 
+// modDownExact is ModDown with the exact, centered P→Q conversion in place
+// of the lazy one: (x - [x]_P^centered)·P^{-1}, with no overshoot. It
+// checks ConvertExact through the ModDown channel step.
+func modDownExact(e *Extender, level int, aQ, aP, out *Poly) {
+	conv := e.RQ.NewPoly(level)
+	e.pToQ.ConvertExact(len(e.RP.Moduli)-1, aP.Coeffs, conv.Coeffs, level+1, true)
+	e.modDownLimbs(level, aQ, conv, out)
+}
+
 func TestModDownExactNoOvershoot(t *testing.T) {
-	// ModDownExact(P·m + e) must return exactly m + round-to-nearest of
+	// modDownExact(P·m + e) must return exactly m + round-to-nearest of
 	// e/P — i.e. m when |e| < P/2.
 	n := 64
 	qs, _ := modmath.GenerateNTTPrimes(45, uint64(2*n), 4)
 	ps, _ := modmath.GenerateNTTPrimes(46, uint64(2*n), 2)
 	rQ, _ := NewRing(n, qs)
 	rP, _ := NewRing(n, ps)
-	ext := NewExtender(rQ, rP)
+	ext := NewExtender(rQ, rP, 1)
 	level := rQ.MaxLevel()
 
 	P := big.NewInt(1)
@@ -104,8 +113,8 @@ func TestModDownExactNoOvershoot(t *testing.T) {
 		}
 	}
 	out := rQ.NewPoly(level)
-	ext.ModDownExact(level, yQ, yP, out)
+	modDownExact(ext, level, yQ, yP, out)
 	if !rQ.Equal(level, out, m) {
-		t.Fatal("ModDownExact(P·m + e) != m for |e| < P/2")
+		t.Fatal("modDownExact(P·m + e) != m for |e| < P/2")
 	}
 }

@@ -89,6 +89,7 @@ type schedJob struct {
 	srcLevel   int             // conversion source level
 	nDst, nQ   int             // conversion target-channel counts
 	level      int             // opRescale: the level being dropped
+	last       []uint64        // opRescale: the dropped residue channel
 	scalar     uint64          // opMulScalar
 	pi         []int32         // opAutoNTT, opKSAcc: Galois permutation
 	dp, kb, ka []*Poly         // opKSAcc: digits and key halves
@@ -107,7 +108,7 @@ type schedJob struct {
 func (j *schedJob) clear() {
 	j.r, j.ext, j.bc, j.dc = nil, nil, nil, nil
 	j.a, j.b, j.out, j.fn = nil, nil, nil, nil
-	j.in, j.o1, j.o2, j.pi = nil, nil, nil, nil
+	j.in, j.o1, j.o2, j.pi, j.last = nil, nil, nil, nil, nil
 	j.dp, j.kb, j.ka = nil, nil, nil
 }
 
@@ -191,7 +192,7 @@ func (j *schedJob) runPart(w int) {
 		}
 	case opRescale:
 		for i := lo; i < hi; i++ {
-			j.ext.rescaleChannel(j.level, i, j.a, j.out)
+			j.ext.rescaleChannel(j.level, i, j.a, j.last, j.out)
 		}
 	case opConvert:
 		j.bc.convertLazyRange(j.srcLevel, j.in, j.o1, j.nDst, lo, hi, w)

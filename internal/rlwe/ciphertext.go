@@ -17,19 +17,18 @@ type Ciphertext struct {
 }
 
 // Encryptor encrypts plaintext polynomials under a public key, drawing from
-// the same secret and error distributions (and error scale) as the scheme's
-// KeyGenerator.
+// the same secret and error distributions as the scheme's KeyGenerator.
 type Encryptor struct {
 	ctx           *Context
 	pk            *PublicKey
 	secret, noise Sampler
-	errScale      uint64
 }
 
 // NewEncryptor returns an encryptor under pk. secret draws the ephemeral u,
-// noise the errors, which are scaled by errScale (1 for CKKS, t for BGV).
-func NewEncryptor(ctx *Context, pk *PublicKey, secret, noise Sampler, errScale uint64) *Encryptor {
-	return &Encryptor{ctx: ctx, pk: pk, secret: secret, noise: noise, errScale: errScale}
+// noise the errors, which are scaled by the context's plaintext modulus t
+// (1 for CKKS).
+func NewEncryptor(ctx *Context, pk *PublicKey, secret, noise Sampler) *Encryptor {
+	return &Encryptor{ctx: ctx, pk: pk, secret: secret, noise: noise}
 }
 
 // Encrypt encrypts the coefficient-domain plaintext pt at the given level:
@@ -38,8 +37,8 @@ func NewEncryptor(ctx *Context, pk *PublicKey, secret, noise Sampler, errScale u
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int) Ciphertext {
 	rq, n := e.ctx.RQ, e.ctx.Params.N()
 	u := SignedPoly(rq, level, e.secret(n), 1)
-	e0 := SignedPoly(rq, level, e.noise(n), e.errScale)
-	e1 := SignedPoly(rq, level, e.noise(n), e.errScale)
+	e0 := SignedPoly(rq, level, e.noise(n), e.ctx.Params.T)
+	e1 := SignedPoly(rq, level, e.noise(n), e.ctx.Params.T)
 	ct := Ciphertext{B: rq.NewPoly(level), A: rq.NewPoly(level), Level: level}
 	rq.MulPoly(level, e.pk.B, u, ct.B)
 	rq.MulPoly(level, e.pk.A, u, ct.A)

@@ -7,17 +7,18 @@
 // workload (NTT, Bconv, DecompPolyMult); this package is that workload in
 // software, written once.
 //
-// The one seam between the schemes is ModDown, the division by P that ends
-// every keyswitch. CKKS divides exactly (ring.Extender.ModDown); BGV must
-// also keep the plaintext modulo t, so it supplies a t-corrected ModDown.
-// The hook is bound once when the context is built, so the hot paths call
-// it without allocating. The scheme also supplies its secret and error
-// samplers and error scale to key generation and encryption. Everything
-// that depends on the message encoding (parameters, encoders, scale and
-// rescaling) stays in the scheme packages.
+// The plaintext modulus t is the core's one scheme-dependent value (1 for
+// CKKS): it scales every key and encryption error, and both divisions by a
+// dropped modulus — ModDown's P and the rescale's q_l — run the same
+// ring.Extender kernels for every scheme, keeping the plaintext modulo t.
+// The scheme also supplies its secret and error samplers to key generation
+// and encryption. Everything that depends on the message encoding
+// (parameters, encoders, scale and rescaling policy) stays in the scheme
+// packages.
 package rlwe
 
 import (
+	"fmt"
 	"math/big"
 	"sync"
 
@@ -30,6 +31,7 @@ type Parameters struct {
 	Q    []uint64 // ciphertext moduli q_0 … q_L
 	P    []uint64 // special moduli of the hybrid keyswitch
 	Dnum int      // number of digit groups
+	T    uint64   // plaintext modulus the errors and divisions keep; 1 for CKKS
 }
 
 // N returns the ring degree.
@@ -37,11 +39,6 @@ func (p Parameters) N() int { return 1 << p.LogN }
 
 // Alpha returns the number of moduli per digit group, ceil((L+1)/dnum).
 func (p Parameters) Alpha() int { return (len(p.Q) + p.Dnum - 1) / p.Dnum }
-
-// ModDownFunc divides a coefficient-domain accumulator over Q·P (its Q half
-// aQ at levels 0..level, its P half aP) by P, writing the result over Q
-// into out.
-type ModDownFunc func(level int, aQ, aP, out *ring.Poly)
 
 // Context holds the rings, converters and pools of one parameter set.
 type Context struct {
@@ -58,14 +55,13 @@ type Context struct {
 	// ModDown input, so that the division by P leaves it exact.
 	PModQ []uint64
 
-	modDown ModDownFunc
 	decPool sync.Pool // recycles Decomposition shells
 }
 
 // NewContext instantiates the rings and keyswitch tables for params, which
-// the scheme has already validated. modDown is the scheme's division by P;
-// nil selects the plain ring.Extender.ModDown.
-func NewContext(params Parameters, modDown ModDownFunc) (*Context, error) {
+// the scheme has already validated. It rejects a plaintext modulus t that
+// is 0 or not invertible modulo every q_i and p_j.
+func NewContext(params Parameters) (*Context, error) {
 	rq, err := ring.NewRing(params.N(), params.Q)
 	if err != nil {
 		return nil, err
@@ -74,10 +70,12 @@ func NewContext(params Parameters, modDown ModDownFunc) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Context{Params: params, RQ: rq, RP: rp, Ext: ring.NewExtender(rq, rp), modDown: modDown}
-	if c.modDown == nil {
-		c.modDown = c.Ext.ModDown
+	for _, s := range append(append([]*ring.SubRing(nil), rq.SubRings...), rp.SubRings...) {
+		if s.ReduceWord(params.T) == 0 {
+			return nil, fmt.Errorf("rlwe: plaintext modulus t=%d is not invertible modulo %d", params.T, s.Q)
+		}
 	}
+	c := &Context{Params: params, RQ: rq, RP: rp, Ext: ring.NewExtender(rq, rp, params.T)}
 	alpha := params.Alpha()
 	var duals []*ring.DualConverter
 	for lo := 0; lo < len(params.Q); lo += alpha {
@@ -105,9 +103,6 @@ func NewContext(params Parameters, modDown ModDownFunc) (*Context, error) {
 	}
 	return c, nil
 }
-
-// ModDown divides an accumulator over Q·P by P with the scheme's ModDown.
-func (c *Context) ModDown(level int, aQ, aP, out *ring.Poly) { c.modDown(level, aQ, aP, out) }
 
 // SetWorkers fans the worker count out to every ring the context owns (RQ,
 // RP) — and with them the bound converters — so one call configures the

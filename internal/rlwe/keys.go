@@ -39,19 +39,18 @@ type SwitchingKey struct {
 type Sampler func(n int) []int64
 
 // KeyGenerator samples the keys both schemes share. The scheme supplies its
-// secret and error distributions and the factor errors are scaled by (1 for
-// CKKS, t for BGV); that is all their keys differ in.
+// secret and error distributions, and errors are scaled by the context's
+// plaintext modulus t (1 for CKKS); that is all their keys differ in.
 type KeyGenerator struct {
 	ctx           *Context
 	rng           prng.Source
 	secret, noise Sampler
-	errScale      uint64
 }
 
 // NewKeyGenerator returns a key generator drawing uniform polynomials from
 // rng and secrets and errors from the scheme's samplers.
-func NewKeyGenerator(ctx *Context, rng prng.Source, secret, noise Sampler, errScale uint64) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, rng: rng, secret: secret, noise: noise, errScale: errScale}
+func NewKeyGenerator(ctx *Context, rng prng.Source, secret, noise Sampler) *KeyGenerator {
+	return &KeyGenerator{ctx: ctx, rng: rng, secret: secret, noise: noise}
 }
 
 // SignedPoly embeds scale·v, a signed coefficient vector, into a new poly
@@ -97,7 +96,7 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	rq := kg.ctx.RQ
 	level := rq.MaxLevel()
 	a := UniformPoly(kg.rng, rq, level)
-	e := SignedPoly(rq, level, kg.noise(kg.ctx.Params.N()), kg.errScale)
+	e := SignedPoly(rq, level, kg.noise(kg.ctx.Params.N()), kg.ctx.Params.T)
 	b := rq.NewPoly(level)
 	rq.MulPoly(level, a, sk.Q, b) // a·s
 	rq.Neg(level, b, b)
@@ -140,8 +139,8 @@ func (kg *KeyGenerator) GenSwitchingKey(sPrime *ring.Poly, sk *SecretKey) *Switc
 		aQ := UniformPoly(kg.rng, rq, levelQ)
 		aP := UniformPoly(kg.rng, rp, levelP)
 		ev := kg.noise(ctx.Params.N())
-		eQ := SignedPoly(rq, levelQ, ev, kg.errScale)
-		eP := SignedPoly(rp, levelP, ev, kg.errScale)
+		eQ := SignedPoly(rq, levelQ, ev, kg.ctx.Params.T)
+		eP := SignedPoly(rp, levelP, ev, kg.ctx.Params.T)
 
 		// bQ = -aQ·s + eQ + W_g·s' over Q.
 		bQ := rq.NewPoly(levelQ)

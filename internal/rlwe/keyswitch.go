@@ -99,7 +99,7 @@ func (ev *Evaluator) ReleaseDecomposition(d *Decomposition) {
 // polynomial c at the given level, returning (B, A) over Q such that
 // B + A·s ≈ c·s': one digit-batched decomposition, unreduced 128-bit
 // accumulation with a single deferred reduction per channel, and the
-// scheme's ModDown. The halves come from the ring arena; the caller hands
+// ModDown. The halves come from the ring arena; the caller hands
 // them back with RQ.Release or leaves them to the GC.
 //
 //alchemist:hot
@@ -145,8 +145,8 @@ func (ev *Evaluator) keySwitchHoisted(d *Decomposition, swk *SwitchingKey, k uin
 	rp.INTT(levelP, bp)
 	rp.INTT(levelP, ap)
 
-	ctx.modDown(level, bq, bp, outB)
-	ctx.modDown(level, aq, ap, outA)
+	ctx.Ext.ModDown(level, bq, bp, outB)
+	ctx.Ext.ModDown(level, aq, ap, outA)
 
 	rq.Release(bq)
 	rq.Release(aq)

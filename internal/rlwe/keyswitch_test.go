@@ -17,14 +17,15 @@ import (
 // Fused-vs-eager equality: KeySwitchFused must be BIT-identical to the eager
 // per-group reference on every input — the lazy accumulation, the dual
 // digit-batched conversion and the identity-channel copies all compute the
-// same fully reduced residues. Each check runs under both ModDown flavours
-// the schemes bind: CKKS's plain division by P and BGV's t-exact one.
+// same fully reduced residues. Each check runs for both schemes: CKKS's
+// plain division by P (t = 1) and BGV's t-scaled one.
 
 // referenceKeySwitch is the eager hybrid keyswitch the fused path replaced:
 // per digit group a ModUp (Bconv to Q and to P), a forward NTT and a
 // reduce-per-term DecompPolyMult accumulation against the evk, then the
-// inverse NTTs and modDown. It is the oracle, not a production path.
-func referenceKeySwitch(ctx *rlwe.Context, level int, c *ring.Poly, swk *rlwe.SwitchingKey, modDown rlwe.ModDownFunc) (*ring.Poly, *ring.Poly) {
+// inverse NTTs and the eager ModDown. It is the oracle, not a production
+// path.
+func referenceKeySwitch(ctx *rlwe.Context, level int, c *ring.Poly, swk *rlwe.SwitchingKey) (*ring.Poly, *ring.Poly) {
 	rq, rp := ctx.RQ, ctx.RP
 	levelP := rp.MaxLevel()
 	accBQ, accAQ := rq.NewPoly(level), rq.NewPoly(level) // NTT domain accumulators
@@ -50,39 +51,56 @@ func referenceKeySwitch(ctx *rlwe.Context, level int, c *ring.Poly, swk *rlwe.Sw
 	rp.INTT(levelP, accBP)
 	rp.INTT(levelP, accAP)
 	outB, outA := rq.NewPoly(level), rq.NewPoly(level)
+	modDown := eagerModDown(ctx)
 	modDown(level, accBQ, accBP, outB)
 	modDown(level, accAQ, accAP, outA)
 	return outB, outA
 }
 
-// eagerModDown is the plain division by P written out eagerly: the
-// reduce-per-term basis conversion (ConvertN) of the P half into Q, then the
-// textbook subtract-and-scale by P⁻¹ mod q_i. It is the CKKS reference's
-// ModDown, so the comparison covers the whole lazy pipeline.
-func eagerModDown(ctx *rlwe.Context) rlwe.ModDownFunc {
-	q, p := ctx.Params.Q, ctx.Params.P
+// eagerModDown is the division by P written out eagerly through the
+// identity ModDown_t(x) = t·ModDown_1(t⁻¹·x) mod Q, with t the context's
+// plaintext modulus: x is scaled by t⁻¹ on every channel of Q·P, its P half
+// goes through the reduce-per-term basis conversion (ConvertN) into Q, the
+// textbook subtract-and-scale by P⁻¹ mod q_i follows, and the result is
+// scaled back by t. It is built from exported pieces only and shares none of
+// the kernel's folded constants, so for CKKS (t = 1) and BGV alike the
+// comparison covers the whole lazy pipeline.
+func eagerModDown(ctx *rlwe.Context) func(level int, aQ, aP, out *ring.Poly) {
+	q, p, t := ctx.Params.Q, ctx.Params.P, ctx.Params.T
 	pToQ := ring.NewBasisConverter(p, q)
-	pInv := make([]uint64, len(q))
+	pInv, tQ, tInvQ := make([]uint64, len(q)), make([]uint64, len(q)), make([]uint64, len(q))
 	for i, qi := range q {
 		pInv[i] = modmath.InvMod(ctx.PModQ[i], qi)
+		tQ[i] = ctx.RQ.SubRings[i].ReduceWord(t)
+		tInvQ[i] = modmath.InvMod(tQ[i], qi)
+	}
+	tInvP := make([]uint64, len(p))
+	for j, pj := range p {
+		tInvP[j] = modmath.InvMod(ctx.RP.SubRings[j].ReduceWord(t), pj)
 	}
 	return func(level int, aQ, aP, out *ring.Poly) {
+		yP := ctx.RP.NewPoly(len(p) - 1)
+		for j, pj := range p {
+			for k, x := range aP.Coeffs[j] {
+				yP.Coeffs[j][k] = modmath.MulMod(x, tInvP[j], pj)
+			}
+		}
 		conv := ctx.RQ.NewPoly(level)
-		pToQ.ConvertN(len(p)-1, aP.Coeffs, conv.Coeffs, level+1)
+		pToQ.ConvertN(len(p)-1, yP.Coeffs, conv.Coeffs, level+1)
 		for i := 0; i <= level; i++ {
 			for k, x := range aQ.Coeffs[i] {
-				out.Coeffs[i][k] = modmath.MulMod(modmath.SubMod(x, conv.Coeffs[i][k], q[i]), pInv[i], q[i])
+				y := modmath.MulMod(x, tInvQ[i], q[i])
+				d := modmath.MulMod(modmath.SubMod(y, conv.Coeffs[i][k], q[i]), pInv[i], q[i])
+				out.Coeffs[i][k] = modmath.MulMod(d, tQ[i], q[i])
 			}
 		}
 	}
 }
 
-// fixture is one keyed context with the ModDown its reference runs: the
-// eagerModDown for CKKS, the context's own t-exact ModDown for BGV.
+// fixture is one keyed context and the key generator of its scheme.
 type fixture struct {
-	ctx     *rlwe.Context
-	modDown rlwe.ModDownFunc
-	newKG   func(seed int64) *rlwe.KeyGenerator
+	ctx   *rlwe.Context
+	newKG func(seed int64) *rlwe.KeyGenerator
 }
 
 func ckksFixture(t testing.TB, params ckks.Parameters) fixture {
@@ -92,9 +110,8 @@ func ckksFixture(t testing.TB, params ckks.Parameters) fixture {
 		t.Fatal(err)
 	}
 	return fixture{
-		ctx:     ctx.Context,
-		modDown: eagerModDown(ctx.Context),
-		newKG:   func(seed int64) *rlwe.KeyGenerator { return ckks.NewKeyGenerator(ctx, seed).KeyGenerator },
+		ctx:   ctx.Context,
+		newKG: func(seed int64) *rlwe.KeyGenerator { return ckks.NewKeyGenerator(ctx, seed).KeyGenerator },
 	}
 }
 
@@ -105,9 +122,8 @@ func bgvFixture(t testing.TB, params bgv.Parameters) fixture {
 		t.Fatal(err)
 	}
 	return fixture{
-		ctx:     ctx.Context,
-		modDown: ctx.ModDown,
-		newKG:   func(seed int64) *rlwe.KeyGenerator { return bgv.NewKeyGenerator(ctx, seed) },
+		ctx:   ctx.Context,
+		newKG: func(seed int64) *rlwe.KeyGenerator { return bgv.NewKeyGenerator(ctx, seed) },
 	}
 }
 
@@ -117,7 +133,7 @@ func (f fixture) checkLevel(t testing.TB, swk *rlwe.SwitchingKey, level int, see
 	t.Helper()
 	rq := f.ctx.RQ
 	c := rlwe.UniformPoly(prng.New(seed), rq, level)
-	eagerB, eagerA := referenceKeySwitch(f.ctx, level, c, swk, f.modDown)
+	eagerB, eagerA := referenceKeySwitch(f.ctx, level, c, swk)
 	fusedB, fusedA := rlwe.NewEvaluator(f.ctx).KeySwitchFused(level, c, swk)
 	if !rq.Equal(level, eagerB, fusedB) || !rq.Equal(level, eagerA, fusedA) {
 		t.Fatalf("level %d seed %d: fused keyswitch differs from eager reference", level, seed)
@@ -246,7 +262,7 @@ func fuzzFixture(t testing.TB, key fuzzKey) fixture {
 
 // FuzzKeySwitchFusedVsEager drives the fused path against the eager
 // reference over random inputs, levels and digit counts, on both ordinary
-// and near-2^61 edge moduli, under the plain (CKKS) and the t-exact (BGV)
+// and near-2^61 edge moduli, under the plain (CKKS) and the t-scaled (BGV)
 // ModDown. Any single bit of divergence fails.
 func FuzzKeySwitchFusedVsEager(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(1), false, false)
