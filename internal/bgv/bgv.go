@@ -15,7 +15,6 @@ package bgv
 
 import (
 	"fmt"
-	"math/big"
 
 	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
@@ -164,28 +163,8 @@ func (e *Encoder) Encode(slots []uint64, level int) (*ring.Poly, error) {
 // Decode recovers the slot vector from a plaintext poly at the given level
 // (coefficients are CRT-reconstructed, centered and reduced mod t).
 func (e *Encoder) Decode(p *ring.Poly, level int) []uint64 {
-	n := e.ctx.Params.N()
-	t := e.ctx.Params.T
-	moduli := e.ctx.RQ.Moduli[:level+1]
-	q := e.ctx.RQ.Modulus(level)
-	half := new(big.Int).Rsh(q, 1)
-	tb := new(big.Int).SetUint64(t)
-	coeffs := make([]uint64, n)
-	res := make([]uint64, level+1)
-	for j := 0; j < n; j++ {
-		for i := 0; i <= level; i++ {
-			res[i] = p.Coeffs[i][j]
-		}
-		x := modmath.CRTReconstruct(res, moduli)
-		if x.Cmp(half) > 0 {
-			x.Sub(x, q)
-		}
-		x.Mod(x, tb)
-		if x.Sign() < 0 {
-			x.Add(x, tb)
-		}
-		coeffs[j] = x.Uint64()
-	}
+	coeffs := make([]uint64, e.ctx.Params.N())
+	e.ctx.RQ.CRT(level).ReduceCentered(p, e.ctx.Params.T, coeffs)
 	e.ctx.RT.NTT(coeffs)
 	return coeffs
 }

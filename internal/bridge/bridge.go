@@ -25,7 +25,8 @@
 //     using a bridge key-switching key.
 //
 // The resulting samples carry the slot values scaled to scale/q0 of the
-// torus; Sign() then runs one programmable bootstrap to binarize.
+// torus; Sign() then multiplies the sample by signGain and runs one
+// programmable bootstrap to binarize.
 package bridge
 
 import (
@@ -145,18 +146,36 @@ func (b *Bridge) ToLWE(ct *ckks.Ciphertext, count int) ([]*tfhe.LweSample, error
 	return out, nil
 }
 
+// signGain widens a bridged phase before the sign bootstrap. The bridge
+// puts values at value·TorusScale ≈ value/8 of the torus, so a decision
+// margin of 0.09 on the value is 0.011 of the torus: about 3.2σ of the
+// sign bootstrap's own modulus-switch noise (σ ≈ 0.0035 at
+// tfhe.FastTestParams), which flipped 2–6 signs in 6000 there. Three
+// times the phase keeps every sign with |value·TorusScale| < 1/6 on its
+// side of the torus and lifts that margin to about 9.6σ; the gain costs a
+// copy and one multiply per mask word.
+const signGain = 3
+
 // Sign binarizes a bridged sample with one programmable bootstrap: the
 // output is a gate-encoded TFHE boolean (true ⇔ the CKKS value was > 0).
-// All signs share the bridge's pinned Bootstrapper, so the sign test vector
-// and scratch arenas are built once at bridge setup.
+// The sign is exact for |value·TorusScale| < 1/6, outside the bootstrap's
+// noise band around 0. All signs share the bridge's pinned Bootstrapper,
+// so the sign test vector and scratch arenas are built once at bridge
+// setup.
 func (b *Bridge) Sign(c *tfhe.LweSample) (*tfhe.LweSample, error) {
-	return b.boot.Run(context.Background(), c)
+	return b.sign(c.Copy())
 }
 
-// Compare returns an encrypted boolean for x > y on bridged samples
-// (sign of the difference).
+// Compare returns an encrypted boolean for x > y on bridged samples (sign
+// of the difference, exact for |x − y|·TorusScale < 1/6).
 func (b *Bridge) Compare(x, y *tfhe.LweSample) (*tfhe.LweSample, error) {
 	d := x.Copy()
 	d.SubTo(y)
-	return b.Sign(d)
+	return b.sign(d)
+}
+
+// sign scales d, which it owns, by signGain and bootstraps it.
+func (b *Bridge) sign(d *tfhe.LweSample) (*tfhe.LweSample, error) {
+	d.MulScalarTo(signGain)
+	return b.boot.Run(context.Background(), d)
 }

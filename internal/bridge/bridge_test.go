@@ -3,9 +3,14 @@ package bridge
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"alchemist/internal/ckks"
+	"alchemist/internal/prng"
 	"alchemist/internal/tfhe"
 )
 
@@ -266,5 +271,81 @@ func TestSignPipelinePhaseMargin(t *testing.T) {
 	t.Logf("%d values: max phase error %.5f, limit %.5f", rounds*n, worst, limit)
 	if worst >= limit {
 		t.Fatalf("max bridged phase error %.5f reaches half the minimum sign margin %.5f", worst, limit)
+	}
+}
+
+// TestSignAtMinimumMargin runs 6000 signs on fresh level-0 samples whose
+// phases sit at ±0.09·TorusScale: the smallest |x² − 0.25| the xscheme-sign
+// benchmark draws, so the smallest margin a bridged sign must resolve.
+// Without the sign gain about one in a thousand of these flips. The samples
+// are drawn from one seed; the bootstraps run on up to four goroutines.
+func TestSignAtMinimumMargin(t *testing.T) {
+	h := setup(t)
+	margin := 0.09 * h.ctx.Params.Scale / float64(h.ctx.Params.Q[0])
+	rng := prng.New(78)
+	const signs = 6000
+	samples := make([]*tfhe.LweSample, signs)
+	for i := range samples {
+		phase := margin
+		if i%2 == 1 {
+			phase = -phase
+		}
+		samples[i] = h.tf.LweKey.Encrypt(tfhe.TorusFromDouble(phase), h.tf.Params.LweSigma, rng)
+	}
+	workers := min(runtime.GOMAXPROCS(0), 4)
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < signs; i += workers {
+				out, err := h.br.Sign(samples[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if h.tf.DecryptBool(out) != (i%2 == 0) {
+					failed.Add(1)
+				}
+				h.br.boot.Recycle(out)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d signs at phase ±%.5f came out wrong", n, signs, margin)
+	}
+}
+
+// TestNewIsDeterministicPerSeed builds two bridges from generators at one
+// seed and converts one ciphertext through both: the SlotToCoeff rotation
+// keys must come out byte-identical, so the LWE samples must too. The
+// rotations reach key generation from a map, so this fails whenever the key
+// generator draws them in the order it is handed them.
+func TestNewIsDeterministicPerSeed(t *testing.T) {
+	h := setup(t)
+	ct := h.encrypt(t, make([]complex128, h.ctx.Params.Slots()))
+	var outs [2][]*tfhe.LweSample
+	for i := range outs {
+		kg := ckks.NewKeyGenerator(h.ctx, 81)
+		sk := kg.GenSecretKey()
+		tf, err := tfhe.NewScheme(tfhe.FastTestParams(), 82)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := New(h.ctx, kg, sk, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[i], err = br.ToLWE(ct, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range outs[0] {
+		a, b := outs[0][j], outs[1][j]
+		if a.B != b.B || !slices.Equal(a.A, b.A) {
+			t.Fatalf("sample %d differs between two bridges built at one seed", j)
+		}
 	}
 }

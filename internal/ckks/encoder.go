@@ -3,10 +3,8 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/cmplx"
 
-	"alchemist/internal/modmath"
 	"alchemist/internal/ring"
 )
 
@@ -74,13 +72,15 @@ func (e *Encoder) encodeInto(values []complex128, scale float64, level int, pQ, 
 	return nil
 }
 
-// Decode reads slots back from a coefficient-domain polynomial.
+// Decode reads slots back from a coefficient-domain polynomial. The
+// coefficients are CRT-reconstructed across levels 0..level, so ones larger
+// than q_0 (e.g. after a multiplication, before rescaling) decode correctly.
 func (e *Encoder) Decode(p *ring.Poly, level int, scale float64) []complex128 {
+	coeffs := make([]float64, 2*e.n)
+	e.ctx.RQ.CRT(level).Float64s(p, coeffs)
 	w := make([]complex128, e.n)
-	for j := 0; j < e.n; j++ {
-		re := e.centeredCoeff(p, j, level)
-		im := e.centeredCoeff(p, j+e.n, level)
-		w[j] = complex(re/scale, im/scale)
+	for j := range w {
+		w[j] = complex(coeffs[j]/scale, coeffs[j+e.n]/scale)
 	}
 	e.specialFFT(w)
 	return w
@@ -99,28 +99,6 @@ func setCoeff(r *ring.Ring, p *ring.Poly, j int, v float64, level int) {
 		}
 		p.Coeffs[i][j] = res
 	}
-}
-
-// centeredCoeff reads coefficient j as a centered float, CRT-reconstructing
-// across levels 0..level so that coefficients larger than q_0 (e.g. after a
-// multiplication, before rescaling) decode correctly.
-func (e *Encoder) centeredCoeff(p *ring.Poly, j, level int) float64 {
-	if level == 0 {
-		return float64(ring.SignedCoeff(p.Coeffs[0][j], e.ctx.RQ.Moduli[0]))
-	}
-	moduli := e.ctx.RQ.Moduli[:level+1]
-	res := make([]uint64, level+1)
-	for i := range res {
-		res[i] = p.Coeffs[i][j]
-	}
-	x := modmath.CRTReconstruct(res, moduli)
-	q := e.ctx.RQ.Modulus(level)
-	half := new(big.Int).Rsh(q, 1)
-	if x.Cmp(half) > 0 {
-		x.Sub(x, q)
-	}
-	f, _ := new(big.Float).SetInt(x).Float64()
-	return f
 }
 
 // specialFFT evaluates the half-DFT used for decoding:
@@ -192,9 +170,7 @@ func bitReverseComplex(v []complex128) {
 func (e *Encoder) decodeDirect(p *ring.Poly, level int, scale float64) []complex128 {
 	nCoeffs := 2 * e.n
 	coeffs := make([]float64, nCoeffs)
-	for j := 0; j < nCoeffs; j++ {
-		coeffs[j] = e.centeredCoeff(p, j, level)
-	}
+	e.ctx.RQ.CRT(level).Float64s(p, coeffs)
 	out := make([]complex128, e.n)
 	for k := 0; k < e.n; k++ {
 		pk := e.rotGroup[k]

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"slices"
+
 	"alchemist/internal/prng"
 	"alchemist/internal/rlwe"
 )
@@ -112,13 +114,17 @@ func (kg *KeyGenerator) GenSecretKeySparse(h int) *SecretKey {
 }
 
 // GenEvaluationKeySet generates the relinearization key plus rotation keys
-// for the given rotation steps (and conjugation when conj is true).
+// for the given rotation steps (and conjugation when conj is true). The
+// keys draw from the generator's one stream in ascending rotation order, so
+// a seed fixes the key set whatever order the steps come in.
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, rotations []int, conj bool) *EvaluationKeySet {
 	rq := kg.ctx.RQ
 	eks := &EvaluationKeySet{
 		Rlk: kg.GenRelinKey(sk),
 		Rot: map[uint64]*SwitchingKey{},
 	}
+	rotations = slices.Clone(rotations)
+	slices.Sort(rotations)
 	for _, r := range rotations {
 		k := rq.GaloisElementForRotation(r)
 		if _, ok := eks.Rot[k]; !ok {

@@ -240,9 +240,9 @@ func TestKeySwitchContract(t *testing.T) {
 	// to q (decrypted difference coefficients are small integers).
 	diff := ctx.RQ.NewPoly(level)
 	ctx.RQ.Sub(level, got, want, diff)
-	enc := h.enc
-	for j := 0; j < ctx.Params.N(); j++ {
-		d := enc.centeredCoeff(diff, j, level)
+	ds := make([]float64, ctx.Params.N())
+	ctx.RQ.CRT(level).Float64s(diff, ds)
+	for j, d := range ds {
 		if d > 1e9 || d < -1e9 { // |noise| ≪ q0·…·qL (≈2^255); 2^30 bound
 			t.Fatalf("key switch noise too large at %d: %g", j, d)
 		}

@@ -4,8 +4,11 @@ import "math/big"
 
 // CRTReconstruct returns the unique x in [0, prod(moduli)) with
 // x ≡ residues[i] (mod moduli[i]) for all i, as a big.Int. The moduli must be
-// pairwise coprime. It is the reference implementation used to validate the
-// RNS basis-conversion (Bconv) kernels. Panics if the slice lengths differ.
+// pairwise coprime. It rebuilds the product, every q̂_i and every modular
+// inverse on each call, so it is a reference, not a decoder: the CKKS and
+// BGV decodes run ring.CRT's per-level precomputed word-wise
+// reconstruction, and their fuzzers check it against this function. Panics
+// if the slice lengths differ.
 func CRTReconstruct(residues, moduli []uint64) *big.Int {
 	if len(residues) != len(moduli) {
 		panic("modmath: residue/modulus length mismatch")

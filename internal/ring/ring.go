@@ -39,6 +39,9 @@ type Ring struct {
 	// before it must flush: 1 << (64 - bits.Len64(max modulus)), the largest
 	// m with m·q ≤ 2^64 for every channel (lazy128.go).
 	lazyCap int
+
+	// crt[l] holds the CRT reconstruction constants of levels 0..l (crt.go).
+	crt []*CRT
 }
 
 // NewRing builds an RNS ring of degree n over the given prime moduli.
@@ -59,6 +62,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 			return nil, err
 		}
 		r.SubRings = append(r.SubRings, s)
+		r.crt = append(r.crt, newCRT(r.Moduli[:len(r.SubRings)]))
 		if q > maxQ {
 			maxQ = q
 		}

@@ -433,8 +433,14 @@ func TestParallelKernelsAllocFree(t *testing.T) {
 		// migrating across Ps can trigger O(1) sync.Pool per-P chain growth
 		// (a few mallocs total, independent of run count), but any per-op
 		// allocation shows up as >= runs. Serial-path exact-0 pins live in
-		// alloc_test.go; this guards the parallel dispatch path.
-		if got := measureAllocs(16, runs, fn); got >= runs {
+		// alloc_test.go; this guards the parallel dispatch path. Under -race
+		// sync.Pool drops Puts by design, so the kernels still run (for the
+		// race detector) but the count is not asserted.
+		got := measureAllocs(16, runs, fn)
+		if raceEnabled {
+			continue
+		}
+		if got >= runs {
 			t.Errorf("%s: %d allocs across %d parallel runs: allocating per op", name, got, runs)
 		} else if got != 0 {
 			t.Logf("%s: %d residual allocs across %d runs (per-P pool growth)", name, got, runs)
