@@ -260,6 +260,11 @@ func liveCKKSKeyed(cfg LiveConfig, workers int, add func(string, string, func(*t
 	ct2 := et.Encrypt(pt, level, params.Scale)
 	ev := ckks.NewEvaluator(ctx, eks)
 
+	add("ckks/encrypt", shape, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			liveRecycle(ctx, et.Encrypt(pt, level, params.Scale))
+		}
+	})
 	add("ckks/mulrelin", shape, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out, err := ev.MulRelin(ct1, ct2)
@@ -425,8 +430,12 @@ func liveTFHE(cfg LiveConfig, add func(string, string, func(*testing.B))) error 
 	return nil
 }
 
-// liveBGV measures the BGV multiply-relinearize at the functional shape.
+// liveBGV measures the BGV multiply-relinearize at the functional shape and
+// encryption at the bgv-tally workload's shape.
 func liveBGV(cfg LiveConfig, add func(string, string, func(*testing.B))) error {
+	if err := liveBGVEncrypt(add); err != nil {
+		return err
+	}
 	params := bgv.TestParams()
 	ctx, err := bgv.NewContext(params)
 	if err != nil {
@@ -455,6 +464,39 @@ func liveBGV(cfg LiveConfig, add func(string, string, func(*testing.B))) error {
 			if _, err := ev.MulRelin(ct1, ct2); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	return nil
+}
+
+// liveBGVEncrypt measures a top-level encryption at the bgv-tally shape
+// (N = 2^12, five 45-bit limbs, t = 65537), where encryption is most of a
+// request. Each output goes back to the ring arena.
+func liveBGVEncrypt(add func(string, string, func(*testing.B))) error {
+	params, err := bgv.GenParams(12, 4, 5, 2, 45, 46, 65537)
+	if err != nil {
+		return err
+	}
+	ctx, err := bgv.NewContext(params)
+	if err != nil {
+		return err
+	}
+	kg := bgv.NewKeyGenerator(ctx, 1)
+	et := bgv.NewEncryptor(ctx, kg.GenPublicKey(kg.GenSecretKey()), 2)
+	slots := make([]uint64, params.N())
+	for i := range slots {
+		slots[i] = uint64(i) % params.T
+	}
+	level := params.MaxLevel()
+	pt, err := bgv.NewEncoder(ctx).Encode(slots, level)
+	if err != nil {
+		return err
+	}
+	add("bgv/encrypt", "N=2^12 L=4 t=65537", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ct := et.Encrypt(pt, level)
+			ctx.RQ.Release(ct.B)
+			ctx.RQ.Release(ct.A)
 		}
 	})
 	return nil

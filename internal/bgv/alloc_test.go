@@ -39,3 +39,26 @@ func TestEvaluatorAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptAllocs pins a warm Encrypt at no more than one allocation, the
+// returned *Ciphertext shell (none here, where the shell does not escape
+// the cycle): the public key is transformed once at construction,
+// the samples land in the encryptor's buffer, u and both output halves come
+// from the ring arena, and each output goes back to RQ.
+func TestEncryptAllocs(t *testing.T) {
+	h := newHarness(t)
+	level := h.ctx.Params.MaxLevel()
+	pt, err := h.enc.Encode(randSlots(h.ctx.Params.N(), h.ctx.Params.T, 53), level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		ct := h.et.Encrypt(pt, level)
+		h.ctx.RQ.Release(ct.B)
+		h.ctx.RQ.Release(ct.A)
+	}
+	cycle() // warm the arena
+	if got := testing.AllocsPerRun(20, cycle); got > 1 {
+		t.Errorf("warm Encrypt allocates %.1f per op, want at most 1 (the ciphertext shell)", got)
+	}
+}

@@ -193,25 +193,24 @@ func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 // Gaussian of deviation sigma) distributions over rng: the pair both key
 // generation and encryption draw from. The core scales the errors by t.
 func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
-	return func(n int) []int64 { return signedTernary(rng, n) },
-		func(n int) []int64 { return gaussian(rng, n, sigma) }
+	return func(dst []int64) { signedTernary(rng, dst) },
+		func(dst []int64) { gaussian(rng, dst, sigma) }
 }
 
-func signedTernary(rng prng.Source, n int) []int64 {
-	v := make([]int64, n)
+func signedTernary(rng prng.Source, v []int64) {
 	for i := range v {
 		switch rng.Intn(3) {
 		case 0:
 			v[i] = 1
 		case 1:
 			v[i] = -1
+		default:
+			v[i] = 0
 		}
 	}
-	return v
 }
 
-func gaussian(rng prng.Source, n int, sigma float64) []int64 {
-	v := make([]int64, n)
+func gaussian(rng prng.Source, v []int64, sigma float64) {
 	for i := range v {
 		x := rng.NormFloat64() * sigma
 		if x > 19 {
@@ -221,5 +220,4 @@ func gaussian(rng prng.Source, n int, sigma float64) []int64 {
 		}
 		v[i] = int64(x)
 	}
-	return v
 }

@@ -165,3 +165,27 @@ func TestLinearTransformAllocFree(t *testing.T) {
 		t.Errorf("warm EvalLinearTransform allocates %d B per op, want under one limb (%d B)", b, limb)
 	}
 }
+
+// TestEncryptAllocFree pins a warm Encrypt+Recycle at zero allocations: the
+// public key is transformed once at construction, the samples land in the
+// encryptor's buffer, and u, both output halves and the shell come from the
+// context's arena.
+func TestEncryptAllocFree(t *testing.T) {
+	ctx, err := NewContext(TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(ctx, 1)
+	et := NewEncryptor(ctx, kg.GenPublicKey(kg.GenSecretKey()), 2)
+	level := ctx.Params.MaxLevel()
+	pt, err := NewEncoder(ctx).Encode(make([]complex128, ctx.Params.Slots()), level, ctx.Params.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Recycle(et.Encrypt(pt, level, ctx.Params.Scale)) // warm the arena
+	if n := testing.AllocsPerRun(20, func() {
+		ctx.Recycle(et.Encrypt(pt, level, ctx.Params.Scale))
+	}); n != 0 {
+		t.Errorf("warm Encrypt+Recycle allocates %.1f per op, want 0", n)
+	}
+}

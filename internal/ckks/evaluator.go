@@ -83,19 +83,22 @@ func (ctx *Context) Recycle(ct *Ciphertext) {
 // Encryptor encrypts plaintext polynomials under a public key.
 type Encryptor struct {
 	enc *rlwe.Encryptor
+	ctx *Context
 }
 
 // NewEncryptor returns an encryptor with deterministic randomness, drawing
 // from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
 	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
-	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise)}
+	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise), ctx: ctx}
 }
 
 // Encrypt encrypts the coefficient-domain plaintext pt at the given level
-// and declares its scale.
+// and declares its scale. The result comes from the context's arena, so a
+// caller that Recycles it encrypts allocation-free.
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int, scale float64) *Ciphertext {
-	return &Ciphertext{Ciphertext: e.enc.Encrypt(pt, level), Scale: scale}
+	ct := e.enc.Encrypt(pt, level)
+	return e.ctx.wrapCt(ct.B, ct.A, level, scale)
 }
 
 // Decryptor decrypts ciphertexts with the secret key.

@@ -48,13 +48,12 @@ func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 // Gaussian of deviation sigma) distributions over rng: the pair both key
 // generation and encryption draw from.
 func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
-	return func(n int) []int64 { return signedTernary(rng, n, 2.0/3.0) },
-		func(n int) []int64 { return signedGaussian(rng, n, sigma) }
+	return func(dst []int64) { signedTernary(rng, dst, 2.0/3.0) },
+		func(dst []int64) { signedGaussian(rng, dst, sigma) }
 }
 
-// signedTernary samples n values from {-1,0,1} with the given density.
-func signedTernary(rng prng.Source, n int, density float64) []int64 {
-	v := make([]int64, n)
+// signedTernary fills v from {-1,0,1} with the given density.
+func signedTernary(rng prng.Source, v []int64, density float64) {
 	for i := range v {
 		u := rng.Float64()
 		switch {
@@ -62,15 +61,15 @@ func signedTernary(rng prng.Source, n int, density float64) []int64 {
 			v[i] = 1
 		case u < density:
 			v[i] = -1
+		default:
+			v[i] = 0
 		}
 	}
-	return v
 }
 
-// signedGaussian samples n rounded Gaussians of deviation sigma, clamped to
-// ±6σ.
-func signedGaussian(rng prng.Source, n int, sigma float64) []int64 {
-	v := make([]int64, n)
+// signedGaussian fills v with rounded Gaussians of deviation sigma, clamped
+// to ±6σ.
+func signedGaussian(rng prng.Source, v []int64, sigma float64) {
 	for i := range v {
 		x := rng.NormFloat64() * sigma
 		switch {
@@ -84,7 +83,6 @@ func signedGaussian(rng prng.Source, n int, sigma float64) []int64 {
 			v[i] = -int64(-x + 0.5)
 		}
 	}
-	return v
 }
 
 // GenSecretKeySparse samples a ternary secret with exactly h non-zero

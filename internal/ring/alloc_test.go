@@ -161,6 +161,21 @@ func TestMulPolyAllocFree(t *testing.T) {
 	}
 }
 
+func TestMulCoeffsShoupAllocFree(t *testing.T) {
+	rq, _ := allocRings(t)
+	level := rq.MaxLevel()
+	a, b, bs, out := rq.NewPoly(level), rq.NewPoly(level), rq.NewPoly(level), rq.NewPoly(level)
+	s := NewSampler(rq, 6)
+	s.Uniform(level, a)
+	s.Uniform(level, b)
+	rq.ShoupConstants(level, b, bs)
+	if n := testing.AllocsPerRun(50, func() {
+		rq.MulCoeffsShoup(level, a, b, bs, out)
+	}); n != 0 {
+		t.Errorf("MulCoeffsShoup allocates %.1f per op, want 0", n)
+	}
+}
+
 // TestLazyAcc128AllocFree pins the 128-bit accumulator loop: a warm
 // BorrowAcc → MulCoeffsLazy128 (plain and permuted) → ReduceAcc128 →
 // ReleaseAcc cycle must not allocate. Acc128 is returned by value and its

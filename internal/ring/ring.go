@@ -245,6 +245,30 @@ func (r *Ring) MulCoeffs(level int, a, b, out *Poly) {
 	}
 }
 
+// MulCoeffsShoup sets out = a ⊙ b (pointwise, NTT domain) at levels 0..level
+// for a fixed operand b whose Shoup constants bShoup come from
+// ShoupConstants. out may alias a.
+func (r *Ring) MulCoeffsShoup(level int, a, b, bShoup, out *Poly) {
+	if parts := r.elemParWidth(level + 1); parts > 1 {
+		j := r.getJob()
+		j.op, j.a, j.b, j.c, j.out, j.tasks = opMulShoup, a, b, bShoup, out, level+1
+		r.runParallel(j, parts)
+		return
+	}
+	for i := 0; i <= level; i++ {
+		r.SubRings[i].MulCoeffsShoup(a.Coeffs[i], b.Coeffs[i], bShoup.Coeffs[i], out.Coeffs[i])
+	}
+}
+
+// ShoupConstants sets out to the Shoup constants of b at levels 0..level,
+// the precomputation that makes b a fixed operand of MulCoeffsShoup. Setup
+// path: one 128-by-64-bit division per coefficient.
+func (r *Ring) ShoupConstants(level int, b, out *Poly) {
+	for i := 0; i <= level; i++ {
+		r.SubRings[i].ShoupConstants(b.Coeffs[i], out.Coeffs[i])
+	}
+}
+
 // MulCoeffsAndAdd sets out += a ⊙ b (pointwise, NTT domain) at levels 0..level.
 func (r *Ring) MulCoeffsAndAdd(level int, a, b, out *Poly) {
 	if parts := r.elemParWidth(level + 1); parts > 1 {

@@ -127,6 +127,39 @@ func TestPolyArithmeticIdentities(t *testing.T) {
 	}
 }
 
+// TestMulCoeffsShoupMatchesMulCoeffs pins the fixed-operand product to the
+// Barrett one, in place and out of place, on 40-bit moduli and on near-2^61
+// edge moduli where the Shoup quotient estimate is widest; the operands
+// include 0 and q−1.
+func TestMulCoeffsShoupMatchesMulCoeffs(t *testing.T) {
+	edge, err := modmath.GenerateNTTPrimes(61, 256, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeRing, err := NewRing(128, edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Ring{"40-bit": testRing(t, 128, 3), "61-bit": edgeRing} {
+		level := r.MaxLevel()
+		a, b := randPoly(r, level, 11), randPoly(r, level, 12)
+		for i, q := range r.Moduli {
+			a.Coeffs[i][0], a.Coeffs[i][1], b.Coeffs[i][1], b.Coeffs[i][2] = 0, q-1, q-1, 0
+		}
+		bs, want, got := r.NewPoly(level), r.NewPoly(level), r.NewPoly(level)
+		r.ShoupConstants(level, b, bs)
+		r.MulCoeffs(level, a, b, want)
+		r.MulCoeffsShoup(level, a, b, bs, got)
+		if !r.Equal(level, got, want) {
+			t.Errorf("%s: MulCoeffsShoup differs from MulCoeffs", name)
+		}
+		r.MulCoeffsShoup(level, a, b, bs, a)
+		if !r.Equal(level, a, want) {
+			t.Errorf("%s: in-place MulCoeffsShoup differs from MulCoeffs", name)
+		}
+	}
+}
+
 func TestBigCoeffsRoundTrip(t *testing.T) {
 	r := testRing(t, 64, 3)
 	level := r.MaxLevel()

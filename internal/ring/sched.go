@@ -55,6 +55,7 @@ const (
 	opSub
 	opNeg
 	opMul
+	opMulShoup
 	opMulAdd
 	opMulScalar
 	opAutoNTT
@@ -84,6 +85,7 @@ type schedJob struct {
 	bc         *BasisConverter // opConvert
 	dc         *DualConverter  // opConvertBoth
 	a, b, out  *Poly           // poly operands (a=src, b=second src / conv)
+	c          *Poly           // opMulShoup: the Shoup constants of b
 	fn         func(i int)     // opFn
 	in, o1, o2 [][]uint64      // conversion channel slices (src, dstQ, dstP)
 	srcLevel   int             // conversion source level
@@ -107,7 +109,7 @@ type schedJob struct {
 // key material across calls.
 func (j *schedJob) clear() {
 	j.r, j.ext, j.bc, j.dc = nil, nil, nil, nil
-	j.a, j.b, j.out, j.fn = nil, nil, nil, nil
+	j.a, j.b, j.c, j.out, j.fn = nil, nil, nil, nil, nil
 	j.in, j.o1, j.o2, j.pi, j.last = nil, nil, nil, nil, nil
 	j.dp, j.kb, j.ka = nil, nil, nil
 }
@@ -165,6 +167,10 @@ func (j *schedJob) runPart(w int) {
 	case opMul:
 		for i := lo; i < hi; i++ {
 			j.r.SubRings[i].MulCoeffs(j.a.Coeffs[i], j.b.Coeffs[i], j.out.Coeffs[i])
+		}
+	case opMulShoup:
+		for i := lo; i < hi; i++ {
+			j.r.SubRings[i].MulCoeffsShoup(j.a.Coeffs[i], j.b.Coeffs[i], j.c.Coeffs[i], j.out.Coeffs[i])
 		}
 	case opMulAdd:
 		for i := lo; i < hi; i++ {

@@ -95,6 +95,10 @@ func (f *schedFixture) runKernelSuite(seed int64) map[string][][]uint64 {
 	snap("neg", out, level)
 	r.MulCoeffs(level, a, b, out)
 	snap("mul", out, level)
+	bs := r.NewPoly(level)
+	r.ShoupConstants(level, b, bs)
+	r.MulCoeffsShoup(level, a, b, bs, out)
+	snap("mulshoup", out, level)
 	acc := r.Clone(level, b)
 	r.MulCoeffsAndAdd(level, a, b, acc)
 	snap("muladd", acc, level)
@@ -406,6 +410,8 @@ func TestParallelKernelsAllocFree(t *testing.T) {
 	defer r.SetWorkers(1)
 	level := r.MaxLevel()
 	a := randPoly(r, level, 3)
+	as := r.NewPoly(level)
+	r.ShoupConstants(level, a, as)
 	out := r.NewPoly(level)
 	outA := r.NewPoly(level)
 	outP := f.rp.NewPoly(f.rp.MaxLevel())
@@ -416,6 +422,9 @@ func TestParallelKernelsAllocFree(t *testing.T) {
 	kernels := map[string]func(){
 		"ntt": func() { r.NTT(level, a) },
 		"add": func() { r.Add(level, a, a, out) },
+		"mulshoup": func() {
+			r.MulCoeffsShoup(level, a, a, as, out)
+		},
 		"automorphism": func() {
 			r.AutomorphismNTT(level, a, 5, out)
 		},

@@ -189,6 +189,25 @@ func (s *SubRing) MulCoeffs(a, b, out []uint64) {
 	}
 }
 
+// MulCoeffsShoup sets out = a ⊙ b pointwise mod q for reduced a, b < q and
+// a fixed operand b with bShoup[i] = ShoupPrecomp(b[i], q): one high
+// multiply and no Barrett reduction per coefficient. out may alias a.
+func (s *SubRing) MulCoeffsShoup(a, b, bShoup, out []uint64) {
+	q := s.Q
+	a, b, bShoup = a[:len(out)], b[:len(out)], bShoup[:len(out)]
+	for i := range out {
+		out[i] = modmath.MulModShoup(a[i], b[i], bShoup[i], q)
+	}
+}
+
+// ShoupConstants sets out[i] = ShoupPrecomp(b[i], q) for b < q: the fixed-
+// operand precomputation MulCoeffsShoup takes.
+func (s *SubRing) ShoupConstants(b, out []uint64) {
+	for i := range out {
+		out[i] = modmath.ShoupPrecomp(b[i], s.Q)
+	}
+}
+
 // MulCoeffsAndAdd sets out = out + a ⊙ b pointwise mod q.
 func (s *SubRing) MulCoeffsAndAdd(a, b, out []uint64) {
 	q := s.Q

@@ -17,55 +17,94 @@ type Ciphertext struct {
 }
 
 // Encryptor encrypts plaintext polynomials under a public key, drawing from
-// the same secret and error distributions as the scheme's KeyGenerator.
+// the same secret and error distributions as the scheme's KeyGenerator. It
+// holds the key only in the NTT domain, so that an encryption transforms
+// just its ephemeral u. Like its samplers' shared source, an Encryptor is
+// not safe for concurrent use.
 type Encryptor struct {
 	ctx           *Context
-	pk            *PublicKey
+	pkB, pkA      nttOperand
 	secret, noise Sampler
+	draw          []int64 // one sampler draw of N coefficients
+}
+
+// nttOperand is a fixed polynomial over Q in the NTT domain at the top
+// level, with the Shoup constants of every coefficient: the form in which a
+// key enters MulCoeffsShoup. Level l reads its first l+1 limbs.
+type nttOperand struct {
+	v, shoup *ring.Poly
+}
+
+// newNTTOperand transforms a copy of the coefficient-domain p.
+func newNTTOperand(rq *ring.Ring, p *ring.Poly) nttOperand {
+	level := rq.MaxLevel()
+	op := nttOperand{v: rq.Clone(level, p), shoup: rq.NewPoly(level)}
+	rq.NTT(level, op.v)
+	rq.ShoupConstants(level, op.v, op.shoup)
+	return op
 }
 
 // NewEncryptor returns an encryptor under pk. secret draws the ephemeral u,
 // noise the errors, which are scaled by the context's plaintext modulus t
-// (1 for CKKS).
+// (1 for CKKS). The encryptor keeps pk only in its transformed form.
 func NewEncryptor(ctx *Context, pk *PublicKey, secret, noise Sampler) *Encryptor {
-	return &Encryptor{ctx: ctx, pk: pk, secret: secret, noise: noise}
+	return &Encryptor{
+		ctx:    ctx,
+		pkB:    newNTTOperand(ctx.RQ, pk.B),
+		pkA:    newNTTOperand(ctx.RQ, pk.A),
+		secret: secret,
+		noise:  noise,
+		draw:   make([]int64, ctx.Params.N()),
+	}
 }
 
 // Encrypt encrypts the coefficient-domain plaintext pt at the given level:
-// (B, A) = (u·pk.B + e0 + pt, u·pk.A + e1), sampling u, e0 and e1 in that
-// order. The scheme wraps the returned value in its own ciphertext.
+// (B, A) = (u·pk.B + t·e0 + pt, u·pk.A + t·e1), sampling u, e0 and e1 in
+// that order. u is transformed once and multiplied by both halves of the
+// pre-transformed key. The returned polynomials come from the ring arena;
+// the scheme wraps them in its own ciphertext.
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int) Ciphertext {
-	rq, n := e.ctx.RQ, e.ctx.Params.N()
-	u := SignedPoly(rq, level, e.secret(n), 1)
-	e0 := SignedPoly(rq, level, e.noise(n), e.ctx.Params.T)
-	e1 := SignedPoly(rq, level, e.noise(n), e.ctx.Params.T)
-	ct := Ciphertext{B: rq.NewPoly(level), A: rq.NewPoly(level), Level: level}
-	rq.MulPoly(level, e.pk.B, u, ct.B)
-	rq.MulPoly(level, e.pk.A, u, ct.A)
-	rq.Add(level, ct.B, e0, ct.B)
-	rq.Add(level, ct.B, pt, ct.B)
-	rq.Add(level, ct.A, e1, ct.A)
-	return ct
+	rq, t := e.ctx.RQ, e.ctx.Params.T
+	u := rq.Borrow(level)
+	e.secret(e.draw)
+	embedSigned(rq, level, e.draw, 1, u, false)
+	rq.NTT(level, u)
+	b, a := rq.Borrow(level), rq.Borrow(level)
+	rq.MulCoeffsShoup(level, u, e.pkB.v, e.pkB.shoup, b)
+	rq.MulCoeffsShoup(level, u, e.pkA.v, e.pkA.shoup, a)
+	rq.Release(u)
+	rq.INTT(level, b)
+	rq.INTT(level, a)
+	e.noise(e.draw)
+	embedSigned(rq, level, e.draw, t, b, true)
+	rq.Add(level, b, pt, b)
+	e.noise(e.draw)
+	embedSigned(rq, level, e.draw, t, a, true)
+	return Ciphertext{B: b, A: a, Level: level} //alchemist:owns the ciphertext halves are the caller's to release
 }
 
-// Decryptor decrypts ciphertexts with the secret key.
+// Decryptor decrypts ciphertexts with the secret key, which it holds in the
+// NTT domain. Its state is read-only, so one Decryptor serves concurrent
+// callers.
 type Decryptor struct {
 	ctx *Context
-	sk  *SecretKey
+	s   nttOperand
 }
 
 // NewDecryptor returns a decryptor under sk.
 func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
-	return &Decryptor{ctx: ctx, sk: sk}
+	return &Decryptor{ctx: ctx, s: newNTTOperand(ctx.RQ, sk.Q)}
 }
 
 // DecryptPoly returns the plaintext polynomial B + A·s at ct's level; the
 // scheme's decoder reads the message from it.
 func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
-	rq := d.ctx.RQ
-	out := rq.NewPoly(ct.Level)
-	rq.MulPoly(ct.Level, ct.A, d.sk.Q, out)
-	rq.Add(ct.Level, out, ct.B, out)
+	rq, level := d.ctx.RQ, ct.Level
+	out := rq.Clone(level, ct.A)
+	rq.NTT(level, out)
+	rq.MulCoeffsShoup(level, out, d.s.v, d.s.shoup, out)
+	rq.INTT(level, out)
+	rq.Add(level, out, ct.B, out)
 	return out
 }
 

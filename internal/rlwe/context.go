@@ -55,6 +55,10 @@ type Context struct {
 	// ModDown input, so that the division by P leaves it exact.
 	PModQ []uint64
 
+	// gadget[g] holds W_g mod each q_i, the gadget factor of digit group g
+	// (see gadgetFactor).
+	gadget [][]uint64
+
 	decPool sync.Pool // recycles Decomposition shells
 }
 
@@ -93,6 +97,9 @@ func NewContext(params Parameters) (*Context, error) {
 		duals = append(duals, dc)
 	}
 	c.Dec = ring.NewDecomposer(alpha, duals)
+	for g := range c.Dec.Groups {
+		c.gadget = append(c.gadget, c.gadgetFactor(g))
+	}
 	pProd := big.NewInt(1)
 	for _, p := range params.P {
 		pProd.Mul(pProd, new(big.Int).SetUint64(p))

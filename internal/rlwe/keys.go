@@ -35,8 +35,10 @@ type SwitchingKey struct {
 	BP, AP []*ring.Poly // per group, over P, NTT domain
 }
 
-// Sampler draws n signed coefficients from a scheme's distribution.
-type Sampler func(n int) []int64
+// Sampler fills dst with signed coefficients from a scheme's distribution,
+// drawing one value per entry in order, so that a stream of draws does not
+// depend on how the caller batches it.
+type Sampler func(dst []int64)
 
 // KeyGenerator samples the keys both schemes share. The scheme supplies its
 // secret and error distributions, and errors are scaled by the context's
@@ -54,16 +56,66 @@ func NewKeyGenerator(ctx *Context, rng prng.Source, secret, noise Sampler) *KeyG
 }
 
 // SignedPoly embeds scale·v, a signed coefficient vector, into a new poly
-// over r at the given level.
+// over r at the given level. scale must be nonzero.
 func SignedPoly(r *ring.Ring, level int, v []int64, scale uint64) *ring.Poly {
 	p := r.NewPoly(level)
+	embedSigned(r, level, v, scale, p, false)
+	return p
+}
+
+// embedSigned writes scale·v into p at levels 0..level, or with add adds it
+// to p.
+func embedSigned(r *ring.Ring, level int, v []int64, scale uint64, p *ring.Poly, add bool) {
+	maxAbs := maxAbs(v)
 	for i := 0; i <= level; i++ {
-		q := r.Moduli[i]
-		for j, x := range v {
-			p.Coeffs[i][j] = modmath.ReduceSigned(x*int64(scale), q)
+		q, c, s := r.Moduli[i], p.Coeffs[i][:len(v)], int64(scale)
+		switch {
+		case maxAbs > (q-1)/scale:
+			exactSigned(r.SubRings[i], v, scale, c, add)
+		case add:
+			for j, x := range v {
+				c[j] = modmath.AddMod(c[j], signSelect(x*s, q), q)
+			}
+		default:
+			for j, x := range v {
+				c[j] = signSelect(x*s, q)
+			}
 		}
 	}
-	return p
+}
+
+// signSelect returns y mod q for |y| < q: y itself, or q + y when y is
+// negative, chosen by a mask rather than a branch on the sign.
+func signSelect(y int64, q uint64) uint64 {
+	return uint64(y) + q&uint64(y>>63)
+}
+
+// maxAbs returns the largest |x| over v (2^63 for math.MinInt64). Every
+// value the samplers draw has |x·scale| < q_i, which the embedding checks
+// once per limb against this bound, not once per coefficient.
+func maxAbs(v []int64) uint64 {
+	var m uint64
+	for _, x := range v {
+		sign := uint64(x >> 63)
+		if a := uint64(x) ^ sign - sign; a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// exactSigned writes (or, with add, adds) scale·v mod q into c through a
+// full reduction per coefficient: the path for vectors with a value past
+// the sign-select range, which only a caller-supplied vector can hold.
+func exactSigned(s *ring.SubRing, v []int64, scale uint64, c []uint64, add bool) {
+	sq := s.ReduceWord(scale)
+	for j, x := range v {
+		y := modmath.MulMod(modmath.ReduceSigned(x, s.Q), sq, s.Q)
+		if add {
+			y = modmath.AddMod(c[j], y, s.Q)
+		}
+		c[j] = y
+	}
 }
 
 // UniformPoly samples a uniform poly over r at the given level.
@@ -88,7 +140,9 @@ func (c *Context) NewSecretKey(v []int64) *SecretKey {
 
 // GenSecretKey samples a secret from the scheme's secret distribution.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	return kg.ctx.NewSecretKey(kg.secret(kg.ctx.Params.N()))
+	v := make([]int64, kg.ctx.Params.N())
+	kg.secret(v)
+	return kg.ctx.NewSecretKey(v)
 }
 
 // GenPublicKey samples pk = (-A·s + e, A) over Q.
@@ -96,11 +150,12 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	rq := kg.ctx.RQ
 	level := rq.MaxLevel()
 	a := UniformPoly(kg.rng, rq, level)
-	e := SignedPoly(rq, level, kg.noise(kg.ctx.Params.N()), kg.ctx.Params.T)
+	e := make([]int64, kg.ctx.Params.N())
+	kg.noise(e)
 	b := rq.NewPoly(level)
 	rq.MulPoly(level, a, sk.Q, b) // a·s
 	rq.Neg(level, b, b)
-	rq.Add(level, b, e, b)
+	embedSigned(rq, level, e, kg.ctx.Params.T, b, true)
 	return &PublicKey{B: b, A: a}
 }
 
@@ -131,45 +186,71 @@ func (c *Context) gadgetFactor(g int) []uint64 {
 // GenSwitchingKey generates a key switching sPrime (over Q, coefficient
 // domain, full level) to sk.
 func (kg *KeyGenerator) GenSwitchingKey(sPrime *ring.Poly, sk *SecretKey) *SwitchingKey {
+	sQ, sP := kg.nttSecret(sk)
+	swk := kg.genSwitchingKey(sPrime, sQ, sP)
+	kg.ctx.RQ.Release(sQ)
+	kg.ctx.RP.Release(sP)
+	return swk
+}
+
+// nttSecret borrows sk's Q and P halves in the NTT domain, transformed once
+// for every product of the key they serve. The caller releases both.
+func (kg *KeyGenerator) nttSecret(sk *SecretKey) (sQ, sP *ring.Poly) {
+	rq, rp := kg.ctx.RQ, kg.ctx.RP
+	levelQ, levelP := rq.MaxLevel(), rp.MaxLevel()
+	sQ, sP = rq.Borrow(levelQ), rp.Borrow(levelP)
+	rq.CopyLevel(levelQ, sk.Q, sQ)
+	rp.CopyLevel(levelP, sk.P, sP)
+	rq.NTT(levelQ, sQ)
+	rp.NTT(levelP, sP)
+	return sQ, sP //alchemist:owns the NTT-domain secret is the caller's to release
+}
+
+// genSwitchingKey forms every group's key directly in the NTT domain, where
+// it is stored: with â = NTT(a),
+//
+//	B_g = NTT(e_g + W_g·s') − â⊙ŝ over Q,   B_g = NTT(e_g) − â⊙ŝ over P,
+//
+// so each group costs one forward NTT of a and one of b per basis. sQ and sP
+// are the secret's halves in the NTT domain.
+func (kg *KeyGenerator) genSwitchingKey(sPrime, sQ, sP *ring.Poly) *SwitchingKey {
 	ctx := kg.ctx
 	rq, rp := ctx.RQ, ctx.RP
 	levelQ, levelP := rq.MaxLevel(), rp.MaxLevel()
+	t := ctx.Params.T
+	ev := make([]int64, ctx.Params.N())
+	asQ, asP := rq.Borrow(levelQ), rp.Borrow(levelP)
 	swk := &SwitchingKey{}
 	for g := range ctx.Dec.Groups {
 		aQ := UniformPoly(kg.rng, rq, levelQ)
 		aP := UniformPoly(kg.rng, rp, levelP)
-		ev := kg.noise(ctx.Params.N())
-		eQ := SignedPoly(rq, levelQ, ev, kg.ctx.Params.T)
-		eP := SignedPoly(rp, levelP, ev, kg.ctx.Params.T)
+		kg.noise(ev)
 
-		// bQ = -aQ·s + eQ + W_g·s' over Q.
-		bQ := rq.NewPoly(levelQ)
-		rq.MulPoly(levelQ, aQ, sk.Q, bQ)
-		rq.Neg(levelQ, bQ, bQ)
-		rq.Add(levelQ, bQ, eQ, bQ)
-		w := ctx.gadgetFactor(g)
-		ws := rq.NewPoly(levelQ)
+		// bQ = NTT(eQ + W_g·s') − âQ⊙ŝ over Q.
+		bQ := SignedPoly(rq, levelQ, ev, t)
+		w := ctx.gadget[g]
 		for i := 0; i <= levelQ; i++ {
-			rq.SubRings[i].MulScalar(sPrime.Coeffs[i], w[i], ws.Coeffs[i])
+			rq.SubRings[i].MulScalarAndAdd(sPrime.Coeffs[i], w[i], bQ.Coeffs[i])
 		}
-		rq.Add(levelQ, bQ, ws, bQ)
-
-		// bP = -aP·s + eP over P (gadget vanishes mod P).
-		bP := rp.NewPoly(levelP)
-		rp.MulPoly(levelP, aP, sk.P, bP)
-		rp.Neg(levelP, bP, bP)
-		rp.Add(levelP, bP, eP, bP)
-
-		// Store in NTT domain for direct use in DecompPolyMult.
 		rq.NTT(levelQ, bQ)
 		rq.NTT(levelQ, aQ)
+		rq.MulCoeffs(levelQ, aQ, sQ, asQ)
+		rq.Sub(levelQ, bQ, asQ, bQ)
+
+		// bP = NTT(eP) − âP⊙ŝ over P (the gadget vanishes mod P).
+		bP := SignedPoly(rp, levelP, ev, t)
 		rp.NTT(levelP, bP)
 		rp.NTT(levelP, aP)
+		rp.MulCoeffs(levelP, aP, sP, asP)
+		rp.Sub(levelP, bP, asP, bP)
+
 		swk.BQ = append(swk.BQ, bQ)
 		swk.AQ = append(swk.AQ, aQ)
 		swk.BP = append(swk.BP, bP)
 		swk.AP = append(swk.AP, aP)
 	}
+	rq.Release(asQ)
+	rp.Release(asP)
 	return swk
 }
 
@@ -177,9 +258,14 @@ func (kg *KeyGenerator) GenSwitchingKey(sPrime *ring.Poly, sk *SecretKey) *Switc
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	rq := kg.ctx.RQ
 	level := rq.MaxLevel()
+	sQ, sP := kg.nttSecret(sk)
 	s2 := rq.NewPoly(level)
-	rq.MulPoly(level, sk.Q, sk.Q, s2)
-	return kg.GenSwitchingKey(s2, sk)
+	rq.MulCoeffs(level, sQ, sQ, s2)
+	rq.INTT(level, s2)
+	swk := kg.genSwitchingKey(s2, sQ, sP)
+	rq.Release(sQ)
+	kg.ctx.RP.Release(sP)
+	return swk
 }
 
 // GenGaloisKey generates the φ_k(s) → s key for the Galois element k (k odd;
