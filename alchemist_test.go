@@ -341,7 +341,7 @@ func TestPBSSetEnum(t *testing.T) {
 	}
 }
 
-// TestReportIDsUnique guards the fhebench -only lookup.
+// TestReportIDsUnique guards the `alchemist sweep -only` lookup.
 func TestReportIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range Reports() {

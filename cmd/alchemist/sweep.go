@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"alchemist/internal/bench"
@@ -17,6 +18,7 @@ import (
 // the memo cache collapses the graphs shared between reports.
 //
 //	alchemist sweep                 # all reports, text
+//	alchemist sweep -only table7    # one report (an unknown id exits 2)
 //	alchemist sweep -workers 4 -csv # CSV, bounded pool
 //	alchemist sweep -verify -stats  # serial cross-check + engine counters
 func runSweep(args []string) {
@@ -55,7 +57,18 @@ func runSweep(args []string) {
 	eng := engine.New(engine.WithWorkers(*workers))
 	defer eng.Close()
 	c := bench.NewCtx(context.Background(), eng)
-	out := render(c.All())
+	reports := c.All()
+	ids := make([]string, len(reports))
+	for i, r := range reports {
+		ids[i] = r.ID
+	}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id != "" && !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "sweep: no report with id %q; valid ids: %s\n", id, strings.Join(ids, " "))
+			os.Exit(2)
+		}
+	}
+	out := render(reports)
 	fmt.Print(out)
 
 	if *verify {

@@ -103,7 +103,7 @@ func main() {
 		if _, err := alchemist.SimulateBaseline(bl, mix); err != nil {
 			fmt.Printf("  %-9s cannot execute the mixed workload: no Bconv datapath\n", bl.Name)
 		} else {
-			fmt.Printf("  %-9s executes the mix at low utilization (see fhebench -only fig1)\n", bl.Name)
+			fmt.Printf("  %-9s executes the mix at low utilization (see alchemist sweep -only fig1)\n", bl.Name)
 		}
 	}
 	fmt.Println("\nonly the unified architecture sustains both operator mixes — the paper's core claim")

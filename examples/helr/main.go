@@ -112,5 +112,5 @@ func main() {
 	}
 	fmt.Printf("Alchemist model, HELR-1024: %.3f ms per bootstrapped block (%.3f ms/iteration)\n",
 		res.Seconds*1e3, res.Seconds*1e3/5)
-	fmt.Printf("paper: 2.07x faster than SHARP on HELR; model reproduces ~2.1x (see fhebench -only fig6a)\n")
+	fmt.Printf("paper: 2.07x faster than SHARP on HELR; model reproduces ~2.1x (see alchemist sweep -only fig6a)\n")
 }

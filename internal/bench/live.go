@@ -11,7 +11,7 @@ import (
 
 	"alchemist/internal/bgv"
 	"alchemist/internal/ckks"
-	"alchemist/internal/ring"
+	"alchemist/internal/prng"
 	"alchemist/internal/rlwe"
 	"alchemist/internal/tfhe"
 )
@@ -166,10 +166,9 @@ func liveRing(cfg LiveConfig, workers int, add func(string, string, func(*testin
 	rq.SetWorkers(workers)
 	rp.SetWorkers(workers)
 	level := rq.MaxLevel()
-	s := ring.NewSampler(rq, 1)
+	rng := prng.New(1)
 
-	p := rq.NewPoly(level)
-	s.Uniform(level, p)
+	p := rlwe.UniformPoly(rng, rq, level)
 	add("ring/ntt", shape, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rq.NTT(level, p)
@@ -193,8 +192,7 @@ func liveRing(cfg LiveConfig, workers int, add func(string, string, func(*testin
 		}
 	})
 
-	a := rq.NewPoly(level)
-	s.Uniform(level, a)
+	a := rlwe.UniformPoly(rng, rq, level)
 	outP := rp.NewPoly(rp.MaxLevel())
 	add("ring/modup", shape, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation from the models in this repository, formatted as aligned text
-// and CSV. cmd/fhebench drives it from the command line; bench_test.go wraps
-// each generator in a testing.B benchmark.
+// and CSV. `alchemist sweep` drives it from the command line; bench_test.go
+// wraps each generator in a testing.B benchmark.
 package bench
 
 import (

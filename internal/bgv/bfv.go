@@ -69,7 +69,7 @@ func (d *Decryptor) DecryptBFV(enc *Encoder, ct *BFVCiphertext) []uint64 {
 		}
 		coeffs[j] = rounded.Uint64()
 	}
-	ctx.RT.NTT(coeffs)
+	ctx.RT.NTTLazy(coeffs)
 	return coeffs
 }
 

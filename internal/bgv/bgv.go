@@ -144,7 +144,7 @@ func (e *Encoder) Encode(slots []uint64, level int) (*ring.Poly, error) {
 	for i, v := range slots {
 		coeffs[i] = e.ctx.RT.ReduceWord(v)
 	}
-	e.ctx.RT.INTT(coeffs)
+	e.ctx.RT.INTTLazy(coeffs)
 	p := e.ctx.RQ.NewPoly(level)
 	for j := 0; j < n; j++ {
 		c := ring.SignedCoeff(coeffs[j], t) // centered lift
@@ -165,7 +165,7 @@ func (e *Encoder) Encode(slots []uint64, level int) (*ring.Poly, error) {
 func (e *Encoder) Decode(p *ring.Poly, level int) []uint64 {
 	coeffs := make([]uint64, e.ctx.Params.N())
 	e.ctx.RQ.CRT(level).ReduceCentered(p, e.ctx.Params.T, coeffs)
-	e.ctx.RT.NTT(coeffs)
+	e.ctx.RT.NTTLazy(coeffs)
 	return coeffs
 }
 

@@ -29,7 +29,7 @@ func oracleDecode(ctx *Context, p *ring.Poly, level int) []uint64 {
 		}
 		coeffs[j] = x.Mod(x, tb).Uint64() // Mod is Euclidean: [0, t)
 	}
-	ctx.RT.NTT(coeffs)
+	ctx.RT.NTTLazy(coeffs)
 	return coeffs
 }
 
@@ -181,4 +181,3 @@ func BenchmarkDecode(b *testing.B) {
 
 // decodeSink keeps BenchmarkDecode's result live.
 var decodeSink []uint64
-

@@ -212,4 +212,3 @@ func BenchmarkDecode(b *testing.B) {
 
 // decodeSink keeps BenchmarkDecode's result live.
 var decodeSink []complex128
-

@@ -17,8 +17,8 @@ import (
 // degree-sized scratch (or a per-channel header table over it, the shape the
 // digit-batched conversion kernels traffic in) being
 // allocated per call instead of borrowed from the pool. Return-value
-// allocation belongs in an unannotated wrapper (see tfhe.FromNTT over
-// FromNTTInto); rare legitimate sites (cold fallbacks, first-use cache
+// allocation belongs in an unannotated wrapper (see tfhe.SampleExtract over
+// SampleExtractInto); rare legitimate sites (cold fallbacks, first-use cache
 // construction) carry a reasoned //alchemist:allow hot-alloc directive.
 type HotAlloc struct{}
 

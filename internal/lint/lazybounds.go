@@ -3,11 +3,13 @@ package lint
 // lazy-bounds: a forward interval-domain abstract interpretation over the CFG
 // proving the lazy-reduction discipline of the modmath/ring kernels.
 //
-// PRs 5 and 7 made every hot kernel lazy: MulModShoupLazy outputs live in
-// [0,2q), Harvey butterflies accumulate into [0,4q), and the 128-bit
-// accumulators defer reduction for up to lazyCap terms under the m·q ≤ 2^64
-// headroom bound. Those contracts used to live only in comments; this rule
-// turns them into checked invariants.
+// Every hot kernel is lazy: MulModShoupLazy outputs live in [0,2q) and
+// Harvey butterflies accumulate into [0,4q). Those contracts used to live
+// only in comments; this rule turns them into checked invariants. The
+// 128-bit keyswitch sums (ring.KSAccumulate) hold at most ksChunk = 4
+// products of residues below q < 2^62 (NewBarrett's bound) before each
+// Barrett fold, so their m·q ≤ 2^64 headroom is a constant, not a dataflow
+// fact; FuzzBarrettReduceWide and the fused-vs-eager keyswitch tests pin it.
 //
 // The abstract domain tracks each uint64 value as a symbolic interval in
 // multiples of the live modulus q:
@@ -37,13 +39,6 @@ package lint
 // At every return the active ceiling must have been restored to the declared
 // entry contract.
 //
-// 128-bit accumulators are tracked with a term counter: the raw SubRing
-// MulCoeffsLazy128/AddLazy128 forms increment it, ReduceAcc128 resets it, and
-// it must never exceed the guaranteed lazyCap floor of 4 terms (q < 2^62 ⇒
-// lazyCap = 2^(64-62) ≥ 4). The Ring-level Acc128 forms flush automatically,
-// so those only track whether an accumulator is released or reaches function
-// exit with unfolded terms.
-//
 // Reported defect classes:
 //
 //	(a) a lazy value flowing into a call site whose declared domain it
@@ -51,8 +46,7 @@ package lint
 //	    where the [0,4q) input needs condSub(x, twoQ));
 //	(b) a missing normalization before a store to a canonical-domain output
 //	    slice, or an in-place region not restored to its contract by return;
-//	(c) accumulation exceeding the declared lazyCap headroom;
-//	(d) unannotated exported functions in internal/ring + internal/modmath
+//	(c) unannotated exported functions in internal/ring + internal/modmath
 //	    that consume or produce non-canonical domains, and stale or
 //	    unprovable //alchemist:domain annotations.
 
@@ -86,7 +80,7 @@ type LazyBounds struct {
 	Scope []string
 	// Strict marks the kernel packages where unannotated slice parameters
 	// default to the canonical [0,q) contract and non-canonical returns
-	// must be declared (defect class d).
+	// must be declared (defect class c).
 	Strict []string
 	// onNormalize, when set, observes every proven normalization site.
 	// Used by the mutation self-test.
@@ -110,7 +104,7 @@ func (lb *LazyBounds) Doc() string {
 	return "lazy-reduction bounds: interval analysis proves every [0,kq) value is normalized before it escapes"
 }
 
-const lazyBoundsHint = "see DESIGN.md §5h: declare domains with //alchemist:domain <param|ret>:[0,kq) and normalize with condSub/reduceOnce/ReduceAcc128"
+const lazyBoundsHint = "see DESIGN.md §5h: declare domains with //alchemist:domain <param|ret>:[0,kq) and normalize with condSub/reduceOnce"
 
 // ---------------------------------------------------------------------------
 // Abstract values
@@ -124,10 +118,6 @@ const (
 // maxBound saturates interval bounds so the lattice stays finite; any bound
 // that would exceed it collapses to top.
 const maxBound = 64
-
-// lazyCapFloor is the guaranteed headroom of the 128-bit accumulators:
-// NewBarrett enforces q < 2^62, so lazyCap = 2^(64-bits.Len64(maxQ)) ≥ 4.
-const lazyCapFloor = 4
 
 type absVal struct {
 	kind  int
@@ -304,30 +294,18 @@ func condSubVal(in absVal, k int) (out absVal, narrowed bool) {
 // ---------------------------------------------------------------------------
 // Abstract state
 
-type accState struct {
-	terms int  // raw SubRing form: pending unreduced terms
-	dirty bool // Ring Acc128 form: has unfolded content
-}
-
 type lbState struct {
 	vals map[types.Object]absVal
-	accs map[types.Object]accState
 }
 
 func newLBState() *lbState {
-	return &lbState{vals: map[types.Object]absVal{}, accs: map[types.Object]accState{}}
+	return &lbState{vals: map[types.Object]absVal{}}
 }
 
 func (s *lbState) clone() *lbState {
-	n := &lbState{
-		vals: make(map[types.Object]absVal, len(s.vals)),
-		accs: make(map[types.Object]accState, len(s.accs)),
-	}
+	n := &lbState{vals: make(map[types.Object]absVal, len(s.vals))}
 	for k, v := range s.vals {
 		n.vals[k] = v
-	}
-	for k, v := range s.accs {
-		n.accs[k] = v
 	}
 	return n
 }
@@ -354,8 +332,7 @@ func (s *lbState) get(obj types.Object) absVal {
 }
 
 // join merges o into s, reporting whether s changed. Missing vals are top
-// (so a key present in only one input drops out); accs union with max terms
-// and dirty-OR (an accumulator live on either path is live after the merge).
+// (so a key present in only one input drops out).
 func (s *lbState) join(o *lbState) bool {
 	changed := false
 	for k, v := range s.vals {
@@ -375,22 +352,6 @@ func (s *lbState) join(o *lbState) bool {
 			changed = true
 		}
 	}
-	for k, ov := range o.accs {
-		cur, ok := s.accs[k]
-		if !ok {
-			s.accs[k] = ov
-			changed = true
-			continue
-		}
-		merged := accState{terms: cur.terms, dirty: cur.dirty || ov.dirty}
-		if ov.terms > merged.terms {
-			merged.terms = ov.terms
-		}
-		if merged != cur {
-			s.accs[k] = merged
-			changed = true
-		}
-	}
 	return changed
 }
 
@@ -398,9 +359,9 @@ func (s *lbState) join(o *lbState) bool {
 // Domain annotations
 
 var (
-	domainRE    = regexp.MustCompile(`^//\s*alchemist:domain\s+(.+?)\s*$`)
-	domEntryRE  = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*):(\S+)$`)
-	domBoundRE  = regexp.MustCompile(`^\[0,(\d*)q\)$`)
+	domainRE   = regexp.MustCompile(`^//\s*alchemist:domain\s+(.+?)\s*$`)
+	domEntryRE = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*):(\S+)$`)
+	domBoundRE = regexp.MustCompile(`^\[0,(\d*)q\)$`)
 )
 
 const (
@@ -555,9 +516,7 @@ var vocabNames = map[string]bool{
 	"NegMod": true, "MulMod": true, "ReduceWord": true, "Reduce": true,
 	"ReduceSigned": true, "ShoupPrecomp": true, "PowMod": true, "InvMod": true,
 	"NTTLazy": true, "INTTLazy": true, "NTT": true, "INTT": true,
-	"BorrowAcc": true, "ReleaseAcc": true, "MulCoeffsLazy128": true,
-	"MulCoeffsLazy128Auto": true, "AddLazy128": true, "ReduceAcc128": true,
-	"flushAcc": true, "Q": true, "Moduli": true,
+	"Q": true, "Moduli": true,
 }
 
 // ---------------------------------------------------------------------------
@@ -661,18 +620,6 @@ func (lb *LazyBounds) Check(p *Package, report func(Finding)) {
 				}
 			}
 		}
-		// Defect class (d): the raw SubRing 128-bit entry points hold
-		// intentionally unreduced data and must say so.
-		if strict && rawAcc128Decl(p, fd) {
-			for _, name := range []string{"lo", "hi"} {
-				if _, ok := params[name]; !ok {
-					continue
-				}
-				if dom, has := contract[name]; !has || dom.kind != domAny {
-					flagDirective(fd.Name.Pos(), "func %s: 128-bit accumulator parameter %q holds unreduced words and must be annotated %s:any", fd.Name.Name, name, name)
-				}
-			}
-		}
 	}
 
 	for _, e := range fns {
@@ -721,39 +668,9 @@ func paramObjects(p *Package, fd *ast.FuncDecl) map[string]types.Object {
 	return out
 }
 
-// rawAcc128Decl reports whether fd is a raw (slice-form) 128-bit accumulator
-// entry point: one of the SubRing MulCoeffsLazy128/AddLazy128/ReduceAcc128
-// methods whose lo/hi parameters are []uint64 rather than *Acc128.
-func rawAcc128Decl(p *Package, fd *ast.FuncDecl) bool {
-	switch fd.Name.Name {
-	case "MulCoeffsLazy128", "AddLazy128", "ReduceAcc128":
-	default:
-		return false
-	}
-	params := paramObjects(p, fd)
-	lo, ok := params["lo"]
-	if !ok {
-		return false
-	}
-	return isUint64Slice(lo.Type())
-}
-
-func isUint64Slice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Uint64
-}
-
 func isUint64Word(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Uint64
-}
-
-func isAcc128Type(t types.Type) bool {
-	return strings.Contains(t.String(), "Acc128")
 }
 
 // ---------------------------------------------------------------------------
@@ -780,12 +697,8 @@ type lbFunc struct {
 
 // residueCarrier reports whether a parameter type holds modular residues a
 // ceiling can apply to: uint64 slices at any nesting depth, or Poly-shaped
-// aggregates. Acc128 holds intentionally unreduced 128-bit halves and is
-// excluded — its discipline is the term counter, not a ceiling.
+// aggregates.
 func residueCarrier(t types.Type) bool {
-	if isAcc128Type(t) {
-		return false
-	}
 	if strings.Contains(t.String(), "Poly") {
 		return true
 	}
@@ -1062,7 +975,7 @@ func (fa *lbFunc) baseObj(e ast.Expr) types.Object {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.UnaryExpr:
-			e = x.X // &acc in ReleaseAcc(&acc)
+			e = x.X // &x
 		default:
 			return nil
 		}
@@ -1077,7 +990,7 @@ func (fa *lbFunc) transfer(n *CFGNode, st *lbState, report func(Finding)) *lbSta
 	case KindEntry, KindJoin:
 		return st
 	case KindExit:
-		fa.checkExit(st, report)
+		fa.checkExit(report)
 		return st
 	case KindCond:
 		if rs, ok := n.Stmt.(*ast.RangeStmt); ok {
@@ -1125,11 +1038,6 @@ func (fa *lbFunc) transfer(n *CFGNode, st *lbState, report func(Finding)) *lbSta
 			st.set(lbObjOf(fa.pkg, id), topVal())
 		}
 	case *ast.DeferStmt:
-		if lbCallName(s.Call) == "ReleaseAcc" {
-			// The deferred release runs at exit; checkExit still verifies
-			// the accumulator was folded. Nothing to do now.
-			return st
-		}
 		fa.eval(s.Call, st, report)
 	case *ast.GoStmt:
 		fa.eval(s.Call, st, report)
@@ -1193,18 +1101,6 @@ func (fa *lbFunc) assign(s *ast.AssignStmt, st *lbState, report func(Finding)) {
 	for i, rhs := range s.Rhs {
 		switch s.Tok {
 		case token.ASSIGN, token.DEFINE:
-			// acc := r.BorrowAcc(level) births a tracked accumulator.
-			if call, ok := unparen(rhs).(*ast.CallExpr); ok && lbCallName(call) == "BorrowAcc" {
-				fa.eval(rhs, st, report)
-				if id, ok := unparen(s.Lhs[i]).(*ast.Ident); ok && !isBlank(id) {
-					if obj := lbObjOf(fa.pkg, id); obj != nil {
-						st.accs[obj] = accState{}
-						st.set(obj, topVal())
-					}
-				}
-				vals[i] = topVal()
-				continue
-			}
 			vals[i] = fa.eval(rhs, st, report)
 		case token.ADD_ASSIGN:
 			vals[i] = addVals(fa.eval(s.Lhs[i], st, nil), fa.eval(rhs, st, report))
@@ -1303,18 +1199,12 @@ func (fa *lbFunc) sortedRoots() []*rootInfo {
 	return out
 }
 
-func (fa *lbFunc) checkExit(st *lbState, report func(Finding)) {
+func (fa *lbFunc) checkExit(report func(Finding)) {
 	pos := token.NoPos
 	if fa.fn.Body != nil {
 		pos = fa.fn.Body.Rbrace
 	}
 	fa.checkRegionsRestored(pos, report)
-	for obj, acc := range st.accs {
-		if acc.dirty {
-			fa.flag(report, pos,
-				"Acc128 %s reaches function exit with unfolded terms — missing ReduceAcc128", obj.Name())
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1424,8 +1314,8 @@ func (fa *lbFunc) evalCallOrConv(call *ast.CallExpr, st *lbState, report func(Fi
 	return fa.evalCall(call, st, report)
 }
 
-// evalCall dispatches on the intrinsic table, the 128-bit accumulator
-// vocabulary, and same-package annotated contracts, in that order.
+// evalCall dispatches on the intrinsic table and same-package annotated
+// contracts, in that order.
 func (fa *lbFunc) evalCall(call *ast.CallExpr, st *lbState, report func(Finding)) absVal {
 	name := lbCallName(call)
 	args := call.Args
@@ -1568,40 +1458,6 @@ func (fa *lbFunc) evalCall(call *ast.CallExpr, st *lbState, report func(Finding)
 			}
 			return topVal()
 		}
-	case "BorrowAcc":
-		return topVal() // births are handled at the assignment
-	case "MulCoeffsLazy128", "MulCoeffsLazy128Auto", "AddLazy128":
-		fa.acc128Accumulate(name, call, st, report)
-		return topVal()
-	case "ReduceAcc128":
-		fa.acc128Reduce(call, st, report)
-		return topVal()
-	case "flushAcc":
-		for _, a := range args {
-			if obj := fa.baseObj(a); obj != nil {
-				if acc, ok := st.accs[obj]; ok {
-					acc.dirty = false
-					acc.terms = 0
-					st.accs[obj] = acc
-				}
-			}
-		}
-		return topVal()
-	case "ReleaseAcc":
-		for _, a := range args {
-			obj := fa.baseObj(a)
-			if obj == nil {
-				continue
-			}
-			if acc, ok := st.accs[obj]; ok {
-				if acc.dirty {
-					fa.flag(report, call.Pos(),
-						"Acc128 %s released with unfolded terms — ReduceAcc128 must run before ReleaseAcc", obj.Name())
-				}
-				delete(st.accs, obj)
-			}
-		}
-		return topVal()
 	}
 
 	// Same-package annotated contract?
@@ -1732,102 +1588,6 @@ func (fa *lbFunc) recordSite(call *ast.CallExpr, arg ast.Expr, kind string, repo
 		Kind:   kind,
 		Fn:     fa.fn.Name.Name,
 	})
-}
-
-// ---------------------------------------------------------------------------
-// 128-bit accumulator vocabulary
-
-// acc128Accumulate handles MulCoeffsLazy128 / MulCoeffsLazy128Auto /
-// AddLazy128 in both forms. The Ring-level form (an *Acc128 argument)
-// auto-flushes against the ring's true lazyCap, so only dirtiness is
-// tracked; the raw SubRing slice form is the caller's responsibility and
-// gets the term counter checked against the guaranteed floor.
-func (fa *lbFunc) acc128Accumulate(name string, call *ast.CallExpr, st *lbState, report func(Finding)) {
-	args := call.Args
-	for _, a := range args {
-		if tv, ok := fa.pkg.Info.Types[a]; ok && isAcc128Type(tv.Type) {
-			if obj := fa.baseObj(a); obj != nil {
-				if acc, ok := st.accs[obj]; ok {
-					acc.dirty = true
-					st.accs[obj] = acc
-				}
-			}
-			for _, other := range args {
-				if other != a {
-					fa.eval(other, st, report)
-				}
-			}
-			return
-		}
-	}
-	// Raw slice form: locate the lo slice (AddLazy128(a, lo, hi) at index 1,
-	// MulCoeffsLazy128(a, b, lo, hi) / MulCoeffsLazy128Auto(a, k, b, lo, hi)
-	// at len-2).
-	loIdx := len(args) - 2
-	if name == "AddLazy128" && len(args) == 3 {
-		loIdx = 1
-	}
-	if loIdx < 0 || loIdx+1 >= len(args) {
-		return
-	}
-	for i, a := range args {
-		if i != loIdx && i != loIdx+1 {
-			fa.eval(a, st, report)
-		}
-	}
-	for _, i := range []int{loIdx, loIdx + 1} {
-		if r := fa.rootOf(args[i]); r != nil && r.activeCeiling(args[i].Pos()) > 0 && r.annotated {
-			fa.flag(report, args[i].Pos(),
-				"%s accumulates 128-bit words into %s, whose declared domain is bounded — annotate it %s:any",
-				name, r.name, r.name)
-		}
-	}
-	obj := fa.baseObj(args[loIdx])
-	if obj == nil {
-		return
-	}
-	acc := st.accs[obj]
-	acc.terms++
-	acc.dirty = true
-	if acc.terms > lazyCapFloor {
-		fa.flag(report, call.Pos(),
-			"%s accumulates term %d into %s without ReduceAcc128 — exceeds the guaranteed lazyCap floor of %d (headroom m·q ≤ 2^64)",
-			name, acc.terms, obj.Name(), lazyCapFloor)
-		acc.terms = lazyCapFloor + 1 // saturate so the fixpoint terminates
-	}
-	st.accs[obj] = acc
-}
-
-// acc128Reduce handles ReduceAcc128 in both forms: Ring-level
-// ReduceAcc128(level, acc, out) folds the accumulator; the raw SubRing form
-// ReduceAcc128(lo, hi, out) resets the term counter and deposits canonical
-// residues in out.
-func (fa *lbFunc) acc128Reduce(call *ast.CallExpr, st *lbState, report func(Finding)) {
-	args := call.Args
-	if len(args) == 3 {
-		if tv, ok := fa.pkg.Info.Types[args[1]]; ok && isAcc128Type(tv.Type) {
-			if obj := fa.baseObj(args[1]); obj != nil {
-				if acc, ok := st.accs[obj]; ok {
-					acc.dirty = false
-					acc.terms = 0
-					st.accs[obj] = acc
-				}
-			}
-			fa.eval(args[0], st, report)
-			return
-		}
-		// Raw form.
-		if obj := fa.baseObj(args[0]); obj != nil {
-			delete(st.accs, obj)
-		}
-		if obj := fa.baseObj(args[1]); obj != nil {
-			delete(st.accs, obj)
-		}
-		return
-	}
-	for _, a := range args {
-		fa.eval(a, st, report)
-	}
 }
 
 // lbObjOf resolves an identifier to its object (definition or use).

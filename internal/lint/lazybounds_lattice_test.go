@@ -157,29 +157,30 @@ func TestLazyBoundsCondSub(t *testing.T) {
 	}
 }
 
-// TestLazyBoundsAccJoin pins the accumulator half of the state join: term
-// counts take the max across paths and dirtiness is an OR, so a fold missing
-// on either branch keeps the accumulator live.
-func TestLazyBoundsAccJoin(t *testing.T) {
-	a := types.NewVar(token.NoPos, nil, "lo", types.NewSlice(types.Typ[types.Uint64]))
-	b := types.NewVar(token.NoPos, nil, "other", types.NewSlice(types.Typ[types.Uint64]))
+// TestLazyBoundsStateJoin pins the state join at control-flow merges: a
+// value tracked on both paths takes the hull, a value tracked on only one
+// path drops to top, and joining a state into itself changes nothing, so
+// the fixpoint terminates.
+func TestLazyBoundsStateJoin(t *testing.T) {
+	a := types.NewVar(token.NoPos, nil, "x", types.Typ[types.Uint64])
+	b := types.NewVar(token.NoPos, nil, "y", types.Typ[types.Uint64])
 
 	s := newLBState()
-	s.accs[a] = accState{terms: 2, dirty: true}
+	s.set(a, knownResidue(1))
+	s.set(b, knownResidue(2))
 	o := newLBState()
-	o.accs[a] = accState{terms: 3}
-	o.accs[b] = accState{dirty: true}
+	o.set(a, knownResidue(4))
 
 	if !s.join(o) {
 		t.Fatal("join reported no change")
 	}
-	if got := s.accs[a]; got != (accState{terms: 3, dirty: true}) {
-		t.Errorf("accs[lo] = %+v, want max-terms dirty-OR {3 true}", got)
+	if got := s.get(a); got != knownResidue(4) {
+		t.Errorf("x = %+v, want the hull %+v", got, knownResidue(4))
 	}
-	if got := s.accs[b]; got != (accState{dirty: true}) {
-		t.Errorf("accs[other] = %+v, want union to keep one-sided accumulators", got)
+	if got := s.get(b); !got.isTop() {
+		t.Errorf("y = %+v, want top: it is tracked on one path only", got)
 	}
-	if s.join(o.clone()) {
-		t.Error("second join of the same state reported a change — fixpoint cannot terminate")
+	if s.join(s.clone()) {
+		t.Error("joining a state into itself reported a change — fixpoint cannot terminate")
 	}
 }

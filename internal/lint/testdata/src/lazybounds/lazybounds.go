@@ -1,10 +1,9 @@
-// Package lazybounds exercises the lazy-bounds interval rule: the four
+// Package lazybounds exercises the lazy-bounds interval rule: the three
 // defect classes (lazy value into a canonical call site, missing
-// normalization before store, accumulation past the guaranteed headroom,
-// undeclared non-canonical contracts) next to the clean shapes the rule must
-// accept (butterfly ladders, early-reduce passes, chunked 128-bit
-// accumulation), plus the annotation-grammar findings (stale entries,
-// malformed domains, floating directives, unprovable contracts).
+// normalization before store, undeclared non-canonical contracts) next to
+// the clean shapes the rule must accept (butterfly ladders, early-reduce
+// passes), plus the annotation-grammar findings (stale entries, malformed
+// domains, floating directives, unprovable contracts).
 package lazybounds
 
 // ---------------------------------------------------------------------------
@@ -41,26 +40,6 @@ func AddMod(a, b, q uint64) uint64 {
 
 // NTTLazy stands in for the transform entry points: canonical input required.
 func NTTLazy(p []uint64) {}
-
-// Acc128 stands in for ring.Acc128; Ring for the arena-backed Ring form.
-type Acc128 struct{ lo, hi []uint64 }
-
-type Ring struct{}
-
-func (Ring) BorrowAcc(level int) Acc128                             { return Acc128{} }
-func (Ring) ReleaseAcc(acc *Acc128)                                 {}
-func (Ring) MulCoeffsLazy128(level int, a, b []uint64, acc *Acc128) {}
-func (Ring) ReduceAcc128(level int, acc *Acc128, out []uint64)      {}
-
-// AddLazy128 is the raw slice form: lo:hi accumulate unreduced 128-bit words.
-//
-//alchemist:domain lo:any hi:any
-func AddLazy128(a, lo, hi []uint64) {}
-
-// ReduceAcc128 is the raw fold: deposits canonical residues into out.
-//
-//alchemist:domain lo:any hi:any
-func ReduceAcc128(lo, hi, out []uint64) {}
 
 // ---------------------------------------------------------------------------
 // Defect class (a): lazy values into call sites that declare tighter domains.
@@ -124,49 +103,7 @@ func BadRegionLeak(p []uint64, w, ws, q uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// Defect class (c): 128-bit accumulation past the guaranteed headroom.
-
-// BadHeadroom accumulates a fifth term past the lazyCap floor of four.
-func BadHeadroom(a, lo, hi, out []uint64) {
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	ReduceAcc128(lo, hi, out)
-}
-
-// BadLoopAcc accumulates an unbounded number of terms before folding.
-func BadLoopAcc(a, lo, hi []uint64, n int) {
-	for i := 0; i < n; i++ {
-		AddLazy128(a, lo, hi)
-	}
-	ReduceAcc128(lo, hi, a)
-}
-
-// BadExitDirty never folds the accumulator at all.
-func BadExitDirty(a, lo, hi []uint64) {
-	AddLazy128(a, lo, hi)
-}
-
-// BadAccTarget accumulates raw 128-bit words into a slice whose declared
-// domain promises canonical residues.
-//
-//alchemist:domain lo:[0,q)
-func BadAccTarget(a, lo, hi []uint64) {
-	AddLazy128(a, lo, hi)
-	ReduceAcc128(lo, hi, lo)
-}
-
-// BadRelease returns a dirty accumulator to the arena.
-func BadRelease(r Ring, a, b []uint64) {
-	acc := r.BorrowAcc(0)
-	r.MulCoeffsLazy128(0, a, b, &acc)
-	r.ReleaseAcc(&acc)
-}
-
-// ---------------------------------------------------------------------------
-// Defect class (d): undeclared non-canonical contracts (strict packages).
+// Defect class (c): undeclared non-canonical contracts (strict packages).
 
 // LazyProduct returns a [0,2q) value without declaring it.
 func LazyProduct(a, w, ws, q uint64) uint64 {
@@ -239,31 +176,4 @@ func CleanEager(p []uint64, q uint64) {
 	for j := range p {
 		p[j] = AddMod(p[j], p[j], q)
 	}
-}
-
-// CleanChunkedAcc folds after exactly the guaranteed headroom.
-func CleanChunkedAcc(a, lo, hi, out []uint64) {
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	AddLazy128(a, lo, hi)
-	ReduceAcc128(lo, hi, out)
-}
-
-// CleanEarlyReduce folds inside the loop, so the term count never crosses
-// the floor no matter the trip count.
-func CleanEarlyReduce(a, lo, hi, out []uint64, n int) {
-	for i := 0; i < n; i++ {
-		AddLazy128(a, lo, hi)
-		AddLazy128(a, lo, hi)
-		ReduceAcc128(lo, hi, out)
-	}
-}
-
-// CleanRingAcc uses the auto-flushing Ring form and folds before release.
-func CleanRingAcc(r Ring, a, b, out []uint64) {
-	acc := r.BorrowAcc(0)
-	r.MulCoeffsLazy128(0, a, b, &acc)
-	r.ReduceAcc128(0, &acc, out)
-	r.ReleaseAcc(&acc)
 }

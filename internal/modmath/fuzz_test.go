@@ -82,9 +82,10 @@ func FuzzMulModShoupLazyDomain(f *testing.F) {
 
 // FuzzBarrettReduceWide pins Reduce's widened contract: any 128-bit value
 // x = hi:lo with hi < q (i.e. x < q·2^64) reduces to x mod q, not just single
-// products x < q². The ring lazy accumulators (Acc128) sum many unreduced
-// products under exactly this bound before their one deferred reduction, so
-// the whole fused keyswitch rests on this pin. Oracle: big.Int.
+// products x < q². The fused keyswitch (ring.KSAccumulate) and the lazy
+// basis conversion sum several unreduced products under exactly this bound
+// before their one deferred reduction, so both rest on this pin. Oracle:
+// big.Int.
 func FuzzBarrettReduceWide(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(12289))
 	f.Add(^uint64(0), ^uint64(0), uint64(97))

@@ -64,7 +64,7 @@ func TestNTTAllocFree(t *testing.T) {
 	rq, _ := allocRings(t)
 	level := rq.MaxLevel()
 	p := rq.NewPoly(level)
-	NewSampler(rq, 1).Uniform(level, p)
+	newUniformSampler(rq, 1).Uniform(level, p)
 	rq.NTT(level, p) // warm
 	rq.INTT(level, p)
 	if n := testing.AllocsPerRun(50, func() {
@@ -80,7 +80,7 @@ func TestAutomorphismNTTAllocFree(t *testing.T) {
 	level := rq.MaxLevel()
 	a := rq.NewPoly(level)
 	out := rq.NewPoly(level)
-	NewSampler(rq, 2).Uniform(level, a)
+	newUniformSampler(rq, 2).Uniform(level, a)
 	k := rq.GaloisElementForRotation(1)
 	rq.AutomorphismNTT(level, a, k, out) // warm the permutation cache
 	if n := testing.AllocsPerRun(50, func() {
@@ -95,7 +95,7 @@ func TestModUpModDownAllocFree(t *testing.T) {
 	e := NewExtender(rq, rp, 1)
 	level := rq.MaxLevel()
 	a := rq.NewPoly(level)
-	NewSampler(rq, 3).Uniform(level, a)
+	newUniformSampler(rq, 3).Uniform(level, a)
 	aP := rp.NewPoly(rp.MaxLevel())
 	out := rq.NewPoly(level)
 
@@ -127,7 +127,7 @@ func TestRescaleAllocFree(t *testing.T) {
 	e := NewExtender(rq, rp, 1)
 	level := rq.MaxLevel()
 	a := rq.NewPoly(level)
-	NewSampler(rq, 4).Uniform(level, a)
+	newUniformSampler(rq, 4).Uniform(level, a)
 	out := rq.NewPoly(level - 1)
 	e.RescaleByLastModulus(level, a, out) // warm
 	if n := testing.AllocsPerRun(50, func() {
@@ -150,7 +150,7 @@ func TestMulPolyAllocFree(t *testing.T) {
 	a := rq.NewPoly(level)
 	b := rq.NewPoly(level)
 	out := rq.NewPoly(level)
-	s := NewSampler(rq, 5)
+	s := newUniformSampler(rq, 5)
 	s.Uniform(level, a)
 	s.Uniform(level, b)
 	rq.MulPoly(level, a, b, out) // warm
@@ -165,7 +165,7 @@ func TestMulCoeffsShoupAllocFree(t *testing.T) {
 	rq, _ := allocRings(t)
 	level := rq.MaxLevel()
 	a, b, bs, out := rq.NewPoly(level), rq.NewPoly(level), rq.NewPoly(level), rq.NewPoly(level)
-	s := NewSampler(rq, 6)
+	s := newUniformSampler(rq, 6)
 	s.Uniform(level, a)
 	s.Uniform(level, b)
 	rq.ShoupConstants(level, b, bs)
@@ -173,38 +173,6 @@ func TestMulCoeffsShoupAllocFree(t *testing.T) {
 		rq.MulCoeffsShoup(level, a, b, bs, out)
 	}); n != 0 {
 		t.Errorf("MulCoeffsShoup allocates %.1f per op, want 0", n)
-	}
-}
-
-// TestLazyAcc128AllocFree pins the 128-bit accumulator loop: a warm
-// BorrowAcc → MulCoeffsLazy128 (plain and permuted) → ReduceAcc128 →
-// ReleaseAcc cycle must not allocate. Acc128 is returned by value and its
-// polynomials come from the arena, so the steady state is pure arithmetic.
-func TestLazyAcc128AllocFree(t *testing.T) {
-	rq, _ := allocRings(t)
-	level := rq.MaxLevel()
-	a := rq.NewPoly(level)
-	b := rq.NewPoly(level)
-	out := rq.NewPoly(level)
-	s := NewSampler(rq, 6)
-	s.Uniform(level, a)
-	s.Uniform(level, b)
-	k := rq.GaloisElementForRotation(1)
-	// Warm the arena and the permutation cache.
-	acc := rq.BorrowAcc(level)
-	rq.MulCoeffsLazy128(level, a, b, &acc)
-	rq.MulCoeffsLazy128Auto(level, a, k, b, &acc)
-	rq.ReduceAcc128(level, &acc, out)
-	rq.ReleaseAcc(&acc)
-	if n := testing.AllocsPerRun(20, func() {
-		acc := rq.BorrowAcc(level)
-		rq.MulCoeffsLazy128(level, a, b, &acc)
-		rq.MulCoeffsLazy128Auto(level, a, k, b, &acc)
-		rq.AddLazy128(level, a, &acc)
-		rq.ReduceAcc128(level, &acc, out)
-		rq.ReleaseAcc(&acc)
-	}); n != 0 {
-		t.Errorf("warm lazy accumulator loop allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -232,7 +200,7 @@ func TestDecomposerAllocFree(t *testing.T) {
 	}
 	dec := NewDecomposer(alpha, duals)
 	c := rq.NewPoly(level)
-	NewSampler(rq, 7).Uniform(level, c)
+	newUniformSampler(rq, 7).Uniform(level, c)
 	groups := dec.GroupsAt(level)
 	dQ := make([]*Poly, groups)
 	dP := make([]*Poly, groups)
@@ -260,7 +228,7 @@ func TestVectorKernelDispatchAllocFree(t *testing.T) {
 	rq, _ := allocRings(t)
 	s := rq.SubRings[0]
 	p := make([]uint64, s.N)
-	NewSampler(rq, 9).Uniform(0, &Poly{Coeffs: [][]uint64{p}})
+	newUniformSampler(rq, 9).Uniform(0, &Poly{Coeffs: [][]uint64{p}})
 	s.NTTLazy(p) // warm
 	s.INTTLazy(p)
 	if n := testing.AllocsPerRun(50, func() {

@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"math/big"
-	"math/bits"
 	"testing"
 
 	"alchemist/internal/modmath"
@@ -320,68 +318,6 @@ func FuzzNTTLazyCrossCheck(f *testing.F) {
 						t.Fatalf("q=%d: nttSingleVec52 differs from the madd model at %d on [0,4q) input", q, i)
 					}
 				}
-			}
-		}
-	})
-}
-
-// FuzzReduceAcc128Headroom pins the 128-bit accumulator capacity contract at
-// the adversarial corner the production 36-49-bit parameter shapes never
-// reach: moduli at the very top of the 2^62 Barrett bound, where
-// lazyCap = 2^(64-bits.Len64(q)) collapses to its floor of 4 and the
-// worst-case sum m·q² touches q·2^64 exactly. m full products of maximal
-// residues (plus one carried-over residue, the AddLazy128 unit) accumulate
-// unreduced and the single deferred SubRing.ReduceAcc128 fold must agree
-// with a big.Int oracle on every coefficient.
-func FuzzReduceAcc128Headroom(f *testing.F) {
-	// lazyCap boundary: q just under 2^62 (cap 4, m·q within 240 of 2^64).
-	f.Add((uint64(1)<<62)-60, uint64(3), ^uint64(0))
-	// Mersenne 2^61-1: cap 8, m·q = 2^64 - 8 at full occupancy.
-	f.Add(uint64(2305843009213693951), uint64(7), uint64(0x9e3779b97f4a7c15))
-	f.Add(uint64(12289), uint64(0), uint64(1))
-	f.Fuzz(func(t *testing.T, qSeed, mSeed, aSeed uint64) {
-		q := qSeed%((1<<62)-3) + 3
-		cap := uint64(1) << (64 - bits.Len64(q))
-		if cap > 512 {
-			cap = 512 // keep small-modulus trips bounded; headroom corners have cap ≤ 8
-		}
-		m := int(mSeed % cap) // m products + 1 residue ≤ cap units total
-		const n = 4
-		a, b := make([]uint64, n), make([]uint64, n)
-		lo, hi := make([]uint64, n), make([]uint64, n)
-		want := make([]*big.Int, n)
-		bigQ := new(big.Int).SetUint64(q)
-		x := aSeed | 1
-		next := func() uint64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return x
-		}
-		// One carried-over residue first (the AddLazy128 unit), biased to the
-		// top of the canonical domain.
-		for j := range a {
-			a[j] = q - 1 - next()%3
-			want[j] = new(big.Int).SetUint64(a[j])
-		}
-		lazyAdd(a, lo, hi)
-		for t2 := 0; t2 < m; t2++ {
-			for j := range a {
-				// Bias operands to the top of [0,q): the worst-case sum.
-				a[j] = q - 1 - next()%3
-				b[j] = q - 1 - next()%3
-			}
-			lazyMulAcc(a, b, lo, hi)
-			for j := range a {
-				prod := new(big.Int).Mul(new(big.Int).SetUint64(a[j]), new(big.Int).SetUint64(b[j]))
-				want[j].Add(want[j], prod)
-			}
-		}
-		s := &SubRing{Q: q, barrett: modmath.NewBarrett(q)}
-		out := make([]uint64, n)
-		s.ReduceAcc128(lo, hi, out)
-		for j := range out {
-			w := new(big.Int).Mod(want[j], bigQ).Uint64()
-			if out[j] != w {
-				t.Fatalf("ReduceAcc128 coeff %d after %d terms mod %d = %d want %d", j, m+1, q, out[j], w)
 			}
 		}
 	})

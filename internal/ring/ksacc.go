@@ -6,30 +6,31 @@ import (
 	"alchemist/internal/modmath"
 )
 
-// Fused keyswitch inner product: the register-resident composition of the
-// Acc128 kernels (MulCoeffsLazy128[Auto] × groups, then ReduceAcc128).
+// Fused keyswitch inner product: Σ_g φ(d_g) ⊙ k_g for both key halves with
+// each coefficient's two 128-bit sums kept unreduced in registers.
 //
-// The Acc128 form materializes the unreduced hi:lo pairs as two polynomials
-// and read-modify-writes them once per digit group per key half — for g
-// groups that is 2g sweeps of RMW traffic plus two more to fold, and the
-// memory system, not the multiplier, sets the pace. KSAccumulate keeps each
+// An eager inner product reduces every product on the spot (Barrett per
+// multiply, conditional subtract per add). KSAccumulate instead keeps each
 // coefficient's two 128-bit sums (one per key half) in registers across ALL
 // digit groups and writes each output exactly once, already folded: per
 // coefficient the work collapses to g loads of the shared digit, 2g widening
 // multiplies with carry chains, and two Barrett folds. Both key halves ride
 // one digit load, and under a Galois permutation the gather index is looked
-// up once per coefficient instead of once per (group, half). The result is
-// bit-identical to the Acc128 pipeline — same products, same exact fold —
-// which the fused-vs-eager tests pin transitively.
+// up once per coefficient instead of once per (group, half). This is the
+// software counterpart of the accelerator's deferred-reduction Meta-OP
+// accumulation ((M8A8)_L R8: L multiply-adds, ONE reduction). The result is
+// bit-identical to the eager inner product — same products, same exact
+// fold — which the fused-vs-eager tests pin.
 //
-// Capacity: a chunk of m groups holds at most m·q² per sum, safe while
-// m·q ≤ 2^64 (the Reduce bound, see lazy128.go). ksChunk = 4 never exceeds
-// lazyCap (NewRing guarantees lazyCap ≥ 4 for any modulus below 2^62), and
-// chunk results combine with an exact modular add, so the chunking never
-// changes the value. The small fixed chunk also lets every chunk width run a
-// specialized kernel with the slice headers hoisted into locals — the
-// slice-of-slices indexing a variable-width loop would pay per term is the
-// dominant cost at these operand sizes.
+// Capacity: a chunk of m groups holds at most m·q² per sum, and
+// Barrett.Reduce folds any x < q·2^64 (pinned by FuzzBarrettReduceWide), so
+// a chunk is safe while m·q ≤ 2^64. NewBarrett enforces q < 2^62, so
+// ksChunk = 4 fits every modulus; chunk results combine with an exact
+// modular add, so the chunking never changes the value. The small fixed
+// chunk also lets every chunk width run a specialized kernel with the slice
+// headers hoisted into locals — the slice-of-slices indexing a
+// variable-width loop would pay per term is the dominant cost at these
+// operand sizes.
 
 // ksChunk bounds how many digit groups one register pass covers. Every width
 // in [1, ksChunk] has a dedicated kernel below.

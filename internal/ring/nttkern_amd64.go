@@ -64,7 +64,6 @@ var useNTTKernIFMA = func() bool {
 // The vector NTT schedule uses it as the leading stage when log N is odd.
 //
 //alchemist:domain x0:[0,4q) x1:[0,4q) w:[0,q) ws:any q:modulus
-//
 //go:noescape
 func nttSingleVec(x0, x1 []uint64, w, ws, q uint64)
 
@@ -74,7 +73,6 @@ func nttSingleVec(x0, x1 []uint64, w, ws, q uint64)
 // scalar NTTLazy main loop. t must be a multiple of 4.
 //
 //alchemist:domain p:[0,4q) wA:[0,q) wAs:any wB:[0,q) wBs:any q:modulus
-//
 //go:noescape
 func nttPairVec(p, wA, wAs, wB, wBs []uint64, t int, q uint64)
 
@@ -84,7 +82,6 @@ func nttPairVec(p, wA, wAs, wB, wBs []uint64, t int, q uint64)
 // in-register VPERMQ/VPBLENDD shuffles.
 //
 //alchemist:domain p:[0,4q) wA:[0,q) wAs:any wB:[0,q) wBs:any q:modulus
-//
 //go:noescape
 func nttTailVec(p, wA, wAs, wB, wBs []uint64, q uint64)
 
@@ -94,7 +91,6 @@ func nttTailVec(p, wA, wAs, wB, wBs []uint64, q uint64)
 // INTTLazy main loop, 4 lanes per group via in-register shuffles.
 //
 //alchemist:domain p:[0,2q) wA:[0,q) wAs:any wB:[0,q) wBs:any q:modulus
-//
 //go:noescape
 func inttHeadVec(p, wA, wAs, wB, wBs []uint64, q uint64)
 
@@ -104,7 +100,6 @@ func inttHeadVec(p, wA, wAs, wB, wBs []uint64, q uint64)
 // scalar INTTLazy main loop. t must be a multiple of 4.
 //
 //alchemist:domain p:[0,2q) wA:[0,q) wAs:any wB:[0,q) wBs:any q:modulus
-//
 //go:noescape
 func inttPairVec(p, wA, wAs, wB, wBs []uint64, t int, q uint64)
 
@@ -114,7 +109,6 @@ func inttPairVec(p, wA, wAs, wB, wBs []uint64, t int, q uint64)
 // len(p)/4 must be a multiple of 4.
 //
 //alchemist:domain p:[0,2q) wA0:[0,q) wA0s:any wA1:[0,q) wA1s:any ni:[0,q) nis:any w:[0,q) ws:any q:modulus
-//
 //go:noescape
 func inttLastEvenVec(p []uint64, wA0, wA0s, wA1, wA1s, ni, nis, w, ws, q uint64)
 
@@ -123,7 +117,6 @@ func inttLastEvenVec(p []uint64, wA0, wA0s, wA1, wA1s, ni, nis, w, ws, q uint64)
 // INTTLazy epilogue. len(x0) must be a multiple of 4.
 //
 //alchemist:domain x0:[0,2q) x1:[0,2q) ni:[0,q) nis:any w:[0,q) ws:any q:modulus
-//
 //go:noescape
 func inttLastOddVec(x0, x1 []uint64, ni, nis, w, ws, q uint64)
 
@@ -132,7 +125,6 @@ func inttLastOddVec(x0, x1 []uint64, ni, nis, w, ws, q uint64)
 // Used by the automorphism and fused-keyswitch gather paths.
 //
 //alchemist:domain dst:any src:any
-//
 //go:noescape
 func gatherIdxVec(dst, src []uint64, idx []int32)
 
@@ -148,14 +140,12 @@ func gatherIdxVec(dst, src []uint64, idx []int32)
 // nttSingleVec52 is nttSingleVec on 8 lanes; len(x0) a multiple of 8.
 //
 //alchemist:domain x0:[0,4q) x1:[0,4q) w:[0,q) w52:any q:modulus
-//
 //go:noescape
 func nttSingleVec52(x0, x1 []uint64, w, w52, q uint64)
 
 // nttPairVec52 is nttPairVec on 8 lanes; t a multiple of 8.
 //
 //alchemist:domain p:[0,4q) wA:[0,q) wA52:any wB:[0,q) wB52:any q:modulus
-//
 //go:noescape
 func nttPairVec52(p, wA, wA52, wB, wB52 []uint64, t int, q uint64)
 
@@ -163,7 +153,6 @@ func nttPairVec52(p, wA, wA52, wB, wB52 []uint64, t int, q uint64)
 // len(wA) must be even.
 //
 //alchemist:domain p:[0,4q) wA:[0,q) wA52:any wB:[0,q) wB52:any q:modulus
-//
 //go:noescape
 func nttTailVec52(p, wA, wA52, wB, wB52 []uint64, q uint64)
 
@@ -171,14 +160,12 @@ func nttTailVec52(p, wA, wA52, wB, wB52 []uint64, q uint64)
 // step; len(wB) must be even.
 //
 //alchemist:domain p:[0,2q) wA:[0,q) wA52:any wB:[0,q) wB52:any q:modulus
-//
 //go:noescape
 func inttHeadVec52(p, wA, wA52, wB, wB52 []uint64, q uint64)
 
 // inttPairVec52 is inttPairVec on 8 lanes; t a multiple of 8.
 //
 //alchemist:domain p:[0,2q) wA:[0,q) wA52:any wB:[0,q) wB52:any q:modulus
-//
 //go:noescape
 func inttPairVec52(p, wA, wA52, wB, wB52 []uint64, t int, q uint64)
 
@@ -186,14 +173,12 @@ func inttPairVec52(p, wA, wA52, wB, wB52 []uint64, t int, q uint64)
 // of 8.
 //
 //alchemist:domain p:[0,2q) wA0:[0,q) wA052:any wA1:[0,q) wA152:any ni:[0,q) ni52:any w:[0,q) w52:any q:modulus
-//
 //go:noescape
 func inttLastEvenVec52(p []uint64, wA0, wA052, wA1, wA152, ni, ni52, w, w52, q uint64)
 
 // inttLastOddVec52 is inttLastOddVec on 8 lanes; len(x0) a multiple of 8.
 //
 //alchemist:domain x0:[0,2q) x1:[0,2q) ni:[0,q) ni52:any w:[0,q) w52:any q:modulus
-//
 //go:noescape
 func inttLastOddVec52(x0, x1 []uint64, ni, ni52, w, w52, q uint64)
 
@@ -205,7 +190,6 @@ func inttLastOddVec52(x0, x1 []uint64, ni, ni52, w, w52, q uint64)
 // Used by the vectorized basis-conversion step 1 (decompose.go).
 //
 //alchemist:domain src:[0,q) w:[0,q) w52:any q:modulus
-//
 //go:noescape
 func shoupMulVec52(dst, src []uint64, w, w52, q uint64)
 
@@ -222,7 +206,6 @@ func shoupMulVec52(dst, src []uint64, w, w52, q uint64)
 // be a multiple of 8.
 //
 //alchemist:domain y:any hc:any lo:any hi:any
-//
 //go:noescape
 func convAcc52(y, hc, lo, hi []uint64, stride int)
 
@@ -240,6 +223,5 @@ func convAcc52(y, hc, lo, hi []uint64, stride int)
 // of 8.
 //
 //alchemist:domain dst:[0,q) src:[0,q) last:[0,2q) inv:[0,q) inv52:any q:modulus
-//
 //go:noescape
 func rescaleVec52(dst, src, last []uint64, inv, inv52, q uint64)

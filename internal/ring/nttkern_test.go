@@ -300,7 +300,9 @@ func TestNTTKernelsMatchScalarModels(t *testing.T) {
 						})
 				}
 				runKernCase(t, "inttLastEvenVec", p,
-					func(p []uint64) { inttLastEvenVec(p, w[2], wsh[2], w[3], wsh[3], s.nInv, s.nInvShoup, s.psiInvRevN, s.psiInvRevNShoup, q) },
+					func(p []uint64) {
+						inttLastEvenVec(p, w[2], wsh[2], w[3], wsh[3], s.nInv, s.nInvShoup, s.psiInvRevN, s.psiInvRevNShoup, q)
+					},
 					func(p []uint64) {
 						modelINTTLastEven(p, w[2], wsh[2], w[3], wsh[3], s.nInv, s.nInvShoup, s.psiInvRevN, s.psiInvRevNShoup, q, mulLazy64Model)
 					})
@@ -367,7 +369,9 @@ func TestNTTKernels52MatchScalarModels(t *testing.T) {
 				}
 				ni52, wN52 := s.nInv52, s.psiInvRevN52
 				runKernCase(t, "inttLastEvenVec52", p,
-					func(p []uint64) { inttLastEvenVec52(p, w[2], w52[2], w[3], w52[3], s.nInv, ni52, s.psiInvRevN, wN52, q) },
+					func(p []uint64) {
+						inttLastEvenVec52(p, w[2], w52[2], w[3], w52[3], s.nInv, ni52, s.psiInvRevN, wN52, q)
+					},
 					func(p []uint64) {
 						modelINTTLastEven(p, w[2], w52[2], w[3], w52[3], s.nInv, ni52, s.psiInvRevN, wN52, q, mulLazy52Model)
 					})

@@ -9,36 +9,47 @@ import (
 )
 
 func TestLazyNTTMatchesEager(t *testing.T) {
+	type tc struct {
+		n int
+		q uint64
+	}
+	var cases []tc
 	for _, n := range []int{16, 256, 1024, 4096} {
 		for _, bits := range []uint64{30, 45, 61} {
 			primes, err := modmath.GenerateNTTPrimes(bits, uint64(2*n), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewSubRing(n, primes[0])
-			if err != nil {
-				t.Fatal(err)
+			cases = append(cases, tc{n, primes[0]})
+		}
+	}
+	// bgv's plaintext ring at the tally shape: t = 65537, N = 2^12.
+	cases = append(cases, tc{4096, 65537})
+	for _, c := range cases {
+		n := c.n
+		s, err := NewSubRing(n, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = rng.Uint64() % s.Q
+		}
+		eager := append([]uint64(nil), a...)
+		lazy := append([]uint64(nil), a...)
+		s.NTT(eager)
+		s.NTTLazy(lazy)
+		for i := range eager {
+			if eager[i] != lazy[i] {
+				t.Fatalf("n=%d q=%d: lazy NTT differs at %d", n, c.q, i)
 			}
-			rng := rand.New(rand.NewSource(int64(n)))
-			a := make([]uint64, n)
-			for i := range a {
-				a[i] = rng.Uint64() % s.Q
-			}
-			eager := append([]uint64(nil), a...)
-			lazy := append([]uint64(nil), a...)
-			s.NTT(eager)
-			s.NTTLazy(lazy)
-			for i := range eager {
-				if eager[i] != lazy[i] {
-					t.Fatalf("n=%d bits=%d: lazy NTT differs at %d", n, bits, i)
-				}
-			}
-			s.INTT(eager)
-			s.INTTLazy(lazy)
-			for i := range eager {
-				if eager[i] != lazy[i] || eager[i] != a[i] {
-					t.Fatalf("n=%d bits=%d: lazy INTT differs at %d", n, bits, i)
-				}
+		}
+		s.INTT(eager)
+		s.INTTLazy(lazy)
+		for i := range eager {
+			if eager[i] != lazy[i] || eager[i] != a[i] {
+				t.Fatalf("n=%d q=%d: lazy INTT differs at %d", n, c.q, i)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"alchemist/internal/modmath"
-	"alchemist/internal/prng"
 )
 
 // Race stress tests: a single Ring's precomputed tables (twiddles, Barrett
@@ -47,7 +46,7 @@ func TestConcurrentNTTSharedRing(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := NewSampler(r, int64(1000+g))
+			s := newUniformSampler(r, int64(1000+g))
 			p := r.NewPoly(level)
 			s.Uniform(level, p)
 			want := r.Clone(level, p)
@@ -82,7 +81,7 @@ func TestConcurrentMulPolySharedRing(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := NewSampler(r, int64(2000+g))
+			s := newUniformSampler(r, int64(2000+g))
 			a := r.NewPoly(level)
 			one := r.NewPoly(level)
 			out := r.NewPoly(level)
@@ -95,43 +94,6 @@ func TestConcurrentMulPolySharedRing(t *testing.T) {
 			}
 			if !r.Equal(level, a, out) {
 				errs <- "a * 1 != a under concurrent MulPoly"
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-}
-
-// TestConcurrentSamplersIndependent verifies per-goroutine samplers over a
-// shared ring are independent: identical seeds must reproduce identical
-// streams regardless of interleaving with other goroutines.
-func TestConcurrentSamplersIndependent(t *testing.T) {
-	r := raceRing(t)
-	level := r.MaxLevel()
-
-	ref := r.NewPoly(level)
-	NewSampler(r, 7).Uniform(level, ref)
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			p := r.NewPoly(level)
-			q := r.NewPoly(level)
-			s := NewSamplerFromSource(r, prng.New(7))
-			noise := NewSampler(r, int64(g))
-			for i := 0; i < 5; i++ {
-				noise.Gaussian(level, 3.2, q) // interleaved traffic
-			}
-			s.Uniform(level, p)
-			if !r.Equal(level, ref, p) {
-				errs <- "seeded sampler stream diverged across goroutines"
 			}
 		}(g)
 	}
@@ -173,7 +135,7 @@ func TestSetWorkersWhileTransforming(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			p := r.NewPoly(level)
-			NewSampler(r, int64(40+g)).Uniform(level, p)
+			newUniformSampler(r, int64(40+g)).Uniform(level, p)
 			want := r.Clone(level, p)
 			for i := 0; i < 15; i++ {
 				r.NTT(level, p)
@@ -228,7 +190,7 @@ func TestCloseReleasesWorkers(t *testing.T) {
 	r.SetWorkers(4)
 	level := r.MaxLevel()
 	p := r.NewPoly(level)
-	NewSampler(r, 9).Uniform(level, p)
+	newUniformSampler(r, 9).Uniform(level, p)
 	want := r.Clone(level, p)
 
 	r.NTT(level, p)
@@ -270,7 +232,7 @@ func TestCloseConcurrentWithTransforms(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			p := r.NewPoly(level)
-			NewSampler(r, int64(70+g)).Uniform(level, p)
+			newUniformSampler(r, int64(70+g)).Uniform(level, p)
 			want := r.Clone(level, p)
 			for i := 0; i < 10; i++ {
 				r.NTT(level, p)

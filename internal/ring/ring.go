@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +34,6 @@ type Ring struct {
 	// (automorphism.go); an evaluation reuses a small, fixed key set.
 	permCache sync.Map
 
-	// lazyCap bounds how many unreduced q²-sized terms an Acc128 may hold
-	// before it must flush: 1 << (64 - bits.Len64(max modulus)), the largest
-	// m with m·q ≤ 2^64 for every channel (lazy128.go).
-	lazyCap int
-
 	// crt[l] holds the CRT reconstruction constants of levels 0..l (crt.go).
 	crt []*CRT
 }
@@ -51,7 +45,6 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 	}
 	seen := map[uint64]bool{}
 	r := &Ring{N: n, Moduli: append([]uint64(nil), moduli...)}
-	maxQ := uint64(0)
 	for _, q := range moduli {
 		if seen[q] {
 			return nil, fmt.Errorf("ring: duplicate modulus %d", q)
@@ -63,13 +56,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		}
 		r.SubRings = append(r.SubRings, s)
 		r.crt = append(r.crt, newCRT(r.Moduli[:len(r.SubRings)]))
-		if q > maxQ {
-			maxQ = q
-		}
 	}
-	// NewBarrett caps moduli below 2^62, so lazyCap ≥ 4: an accumulator can
-	// always take at least one product after a flush (lazy128.go).
-	r.lazyCap = 1 << (64 - bits.Len64(maxQ))
 	return r, nil
 }
 
@@ -350,4 +337,12 @@ func (r *Ring) SetBigCoeffs(level int, coeffs []*big.Int, p *Poly) {
 			p.Coeffs[i][j] = res[i]
 		}
 	}
+}
+
+// SignedCoeff interprets residue x mod q as a centered value in (-q/2, q/2].
+func SignedCoeff(x, q uint64) int64 {
+	if x > q/2 {
+		return int64(x) - int64(q)
+	}
+	return int64(x)
 }

@@ -1,8 +1,8 @@
 // Package ring implements negacyclic polynomial rings R_q = Z_q[X]/(X^N+1)
 // in residue-number-system (RNS) form, together with the polynomial kernels
-// both FHE schemes are built from: the number-theoretic transform (NTT), the
-// 4-step NTT used by the Alchemist data layout, RNS basis conversion (Bconv),
-// ModUp/ModDown, gadget decomposition, automorphisms and samplers.
+// both FHE schemes are built from: the number-theoretic transform (NTT), RNS
+// basis conversion (Bconv), ModUp/ModDown, gadget decomposition and
+// automorphisms.
 package ring
 
 import (
@@ -47,8 +47,6 @@ type SubRing struct {
 	ifma         bool // IFMA tier usable: CPU support ∧ q < 2^50 ∧ N ≥ minVecN
 
 	barrett modmath.Barrett
-
-	scratch BufPool // 4-step NTT matrix scratch (fourstep.go)
 }
 
 // NewSubRing builds the subring of degree n (a power of two ≥ 2) modulo the
@@ -133,55 +131,6 @@ func bitrev(x uint32, bits int) uint32 {
 	return r
 }
 
-// NTT transforms coefficients p (natural order) into the NTT domain
-// (bit-reversed order) in place, using the negacyclic Cooley–Tukey DIT
-// network.
-func (s *SubRing) NTT(p []uint64) {
-	n, q := s.N, s.Q
-	t := n
-	for m := 1; m < n; m <<= 1 {
-		t >>= 1
-		for i := 0; i < m; i++ {
-			w := s.psiRev[m+i]
-			ws := s.psiRevShoup[m+i]
-			j1 := 2 * i * t
-			for j := j1; j < j1+t; j++ {
-				u := p[j]
-				v := modmath.MulModShoup(p[j+t], w, ws, q)
-				p[j] = modmath.AddMod(u, v, q)
-				p[j+t] = modmath.SubMod(u, v, q)
-			}
-		}
-	}
-}
-
-// INTT transforms p from the NTT domain (bit-reversed order) back to natural
-// coefficient order in place, using the Gentleman–Sande DIF network and the
-// final N^{-1} scaling.
-func (s *SubRing) INTT(p []uint64) {
-	n, q := s.N, s.Q
-	t := 1
-	for m := n; m > 1; m >>= 1 {
-		h := m >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			w := s.psiInvRev[h+i]
-			ws := s.psiInvRevShoup[h+i]
-			for j := j1; j < j1+t; j++ {
-				u := p[j]
-				v := p[j+t]
-				p[j] = modmath.AddMod(u, v, q)
-				p[j+t] = modmath.MulModShoup(modmath.SubMod(u, v, q), w, ws, q)
-			}
-			j1 += 2 * t
-		}
-		t <<= 1
-	}
-	for j := 0; j < n; j++ {
-		p[j] = modmath.MulModShoup(p[j], s.nInv, s.nInvShoup, q)
-	}
-}
-
 // MulCoeffs sets out = a ⊙ b pointwise mod q (any domain).
 func (s *SubRing) MulCoeffs(a, b, out []uint64) {
 	for i := range out {
@@ -262,28 +211,4 @@ func (s *SubRing) MulScalarAndAdd(a []uint64, c uint64, out []uint64) {
 	for i := range out {
 		out[i] = modmath.AddMod(out[i], modmath.MulModShoup(a[i], c, cs, q), q)
 	}
-}
-
-// NegacyclicConvolve computes the schoolbook negacyclic product of a and b
-// into out: out = a·b mod (X^N+1, q). O(N^2); reference implementation for
-// tests.
-func (s *SubRing) NegacyclicConvolve(a, b, out []uint64) {
-	n, q := s.N, s.Q
-	acc := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		ai := a[i]
-		if ai == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			p := s.barrett.MulMod(ai, b[j])
-			k := i + j
-			if k < n {
-				acc[k] = modmath.AddMod(acc[k], p, q)
-			} else {
-				acc[k-n] = modmath.SubMod(acc[k-n], p, q)
-			}
-		}
-	}
-	copy(out, acc)
 }

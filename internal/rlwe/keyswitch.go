@@ -11,8 +11,8 @@ import "alchemist/internal/ring"
 //     run as unreduced 128-bit sums across all digit groups with ONE deferred
 //     Barrett fold per coefficient — instead of a Barrett reduction and a
 //     conditional-subtract per term. The register-resident inner product
-//     lives in ring.KSAccumulate (ring/ksacc.go), with ring/lazy128.go
-//     providing the general Acc128 substrate.
+//     lives in ring.KSAccumulate (ring/ksacc.go); NewBarrett's q < 2^62
+//     bound lets each 128-bit sum take ksChunk = 4 products per fold.
 //   - Hoisting: the digit decomposition (ModUp + NTT) of the input runs ONCE
 //     (DecomposeOnce) and is shared by any number of automorphisms; each one
 //     applies its Galois permutation inside the NTT-domain multiply-
@@ -127,11 +127,11 @@ func (ev *Evaluator) keySwitchHoisted(d *Decomposition, swk *SwitchingKey, k uin
 	levelP := rp.MaxLevel()
 	groups := ctx.Dec.GroupsAt(level)
 
-	// KSAccumulate is the register-resident composition of the Acc128 kernels
-	// (MulCoeffsLazy128[Auto] per group + ReduceAcc128): both key halves per
-	// digit load, the 128-bit sums held in registers across all groups, the
-	// outputs written once already folded. Bit-identical to the Acc128
-	// pipeline (ring/ksacc.go).
+	// KSAccumulate runs both key halves per digit load, holds the 128-bit
+	// sums in registers across all groups (a Barrett fold every ksChunk = 4
+	// products, safe for every q < 2^62) and writes the outputs once,
+	// already folded. Bit-identical to the eager per-group inner product
+	// (ring/ksacc.go).
 	bq := rq.Borrow(level)
 	aq := rq.Borrow(level)
 	bp := rp.Borrow(levelP)

@@ -47,10 +47,7 @@ func NewScheme(p Params, seed int64) (*Scheme, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pm, err := NewPolyMultiplier(p.N)
-	if err != nil {
-		return nil, err
-	}
+	pm := NewPolyMultiplier(p.N)
 	rng := prng.New(seed)
 	l, bg := p.TrimGadget()
 	s := &Scheme{

@@ -6,15 +6,121 @@ import (
 	"sync"
 	"testing"
 
+	"alchemist/internal/modmath"
 	"alchemist/internal/prng"
+	"alchemist/internal/ring"
 )
 
-// Exact-NTT reference bootstrap. The shipped blind rotation is the trimmed,
-// pair-bundled FFT engine (brfft.go); this file keeps the textbook datapath
-// it replaced — one TRGSW per level-0 key bit, NLwe CMuxes each an exact
-// 61-bit-prime NTT external product under the full (L, BgBits) gadget, and a
-// key switch with all KsT digits — as the oracle FuzzTrimmedVsEagerPhase
-// compares the FFT engine against at phase level.
+// Exact-NTT reference paths. The shipped polynomial products run on the
+// folded FFT: the trimmed, pair-bundled blind rotation (brfft.go) and the
+// split key-generation product (TrlweKey.keyProductInto). This file keeps
+// the exact 61-bit-prime NTT multiplier they replaced as the oracle, the
+// key phase computed through it, and the textbook bootstrap datapath — one
+// TRGSW per level-0 key bit, NLwe CMuxes each an exact NTT external product
+// under the full (L, BgBits) gadget, and a key switch with all KsT digits —
+// that FuzzTrimmedVsEagerPhase compares the FFT engine against at phase
+// level.
+
+// nttMultiplier computes exact negacyclic products intPoly × torusPoly via
+// a single 61-bit prime NTT. Both the decomposed digits (|d| ≤ Bg/2) and the
+// centered torus values (|t| < 2^31) fit the prime with room for the
+// N-term accumulation, so the integer convolution is exact and reducing it
+// modulo 2^32 yields the torus result.
+type nttMultiplier struct {
+	N   int
+	sub *ring.SubRing
+}
+
+// nttOracles caches one multiplier per degree.
+var nttOracles sync.Map // int → *nttMultiplier
+
+// nttOracle returns the exact multiplier for degree n.
+func nttOracle(n int) *nttMultiplier {
+	if m, ok := nttOracles.Load(n); ok {
+		return m.(*nttMultiplier)
+	}
+	primes, err := modmath.GenerateNTTPrimes(61, uint64(2*n), 1)
+	if err != nil {
+		panic(err)
+	}
+	sub, err := ring.NewSubRing(n, primes[0])
+	if err != nil {
+		panic(err)
+	}
+	m, _ := nttOracles.LoadOrStore(n, &nttMultiplier{N: n, sub: sub})
+	return m.(*nttMultiplier)
+}
+
+// IntToNTT lifts an integer polynomial into the NTT domain.
+func (pm *nttMultiplier) IntToNTT(p IntPoly) []uint64 {
+	q := pm.sub.Q
+	out := make([]uint64, pm.N)
+	for i, v := range p {
+		if v >= 0 {
+			out[i] = uint64(v)
+		} else {
+			out[i] = q - uint64(-int64(v))
+		}
+	}
+	pm.sub.NTTLazy(out)
+	return out
+}
+
+// TorusToNTT lifts a torus polynomial (centered interpretation) into the NTT
+// domain.
+func (pm *nttMultiplier) TorusToNTT(p TorusPoly) []uint64 {
+	q := pm.sub.Q
+	out := make([]uint64, pm.N)
+	for i, v := range p {
+		sv := int64(int32(v)) // centered in [-2^31, 2^31)
+		if sv >= 0 {
+			out[i] = uint64(sv)
+		} else {
+			out[i] = q - uint64(-sv)
+		}
+	}
+	pm.sub.NTTLazy(out)
+	return out
+}
+
+// MulAcc accumulates a ⊙ b (NTT domain) into acc.
+func (pm *nttMultiplier) MulAcc(a, b, acc []uint64) {
+	pm.sub.MulCoeffsAndAdd(a, b, acc)
+}
+
+// FromNTT converts an NTT-domain accumulator back to a torus polynomial:
+// INTT, center modulo the prime, then wrap modulo 2^32. acc is preserved.
+func (pm *nttMultiplier) FromNTT(acc []uint64) TorusPoly {
+	out := make(TorusPoly, pm.N)
+	pm.FromNTTInto(append([]uint64(nil), acc...), out)
+	return out
+}
+
+// FromNTTInto is FromNTT writing into out, CONSUMING acc (the inverse
+// transform runs in place).
+func (pm *nttMultiplier) FromNTTInto(acc []uint64, out TorusPoly) {
+	pm.sub.INTTLazy(acc)
+	q := pm.sub.Q
+	for i, v := range acc {
+		out[i] = Torus(ring.SignedCoeff(v, q)) // wraps mod 2^32
+	}
+}
+
+// keyProduct returns Σ_i a_i·s_i for the key k through the exact NTT.
+func (pm *nttMultiplier) keyProduct(k *TrlweKey, a []TorusPoly) TorusPoly {
+	acc := make([]uint64, pm.N)
+	for i, s := range k.S {
+		pm.MulAcc(pm.TorusToNTT(a[i]), pm.IntToNTT(s), acc)
+	}
+	return pm.FromNTT(acc)
+}
+
+// Phase returns B - Σ A_i·s_i, computed through the exact NTT.
+func (k *TrlweKey) Phase(s *TrlweSample) TorusPoly {
+	out := append(TorusPoly(nil), s.B...)
+	out.SubTo(nttOracle(len(s.B)).keyProduct(k, s.A))
+	return out
+}
 
 // newDecomposer builds the full-gadget decomposer of the reference path.
 func newDecomposer(p Params) decomposer { return newDecomposerLB(p.L, p.BgBits) }
@@ -39,11 +145,12 @@ func (k *TrlweKey) EncryptTrgsw(p Params, m int32, rng prng.Source) *TrgswNTT {
 			} else {
 				row.B[0] += gval
 			}
+			pm := nttOracle(p.N)
 			var comps [][]uint64
 			for c := 0; c < p.K; c++ {
-				comps = append(comps, k.pm.TorusToNTT(row.A[c]))
+				comps = append(comps, pm.TorusToNTT(row.A[c]))
 			}
-			comps = append(comps, k.pm.TorusToNTT(row.B))
+			comps = append(comps, pm.TorusToNTT(row.B))
 			g.rows = append(g.rows, comps)
 		}
 	}
@@ -51,7 +158,7 @@ func (k *TrlweKey) EncryptTrgsw(p Params, m int32, rng prng.Source) *TrgswNTT {
 }
 
 // ExternalProduct computes g ⊡ s ≈ TRLWE(m_g · m_s).
-func ExternalProduct(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, s *TrlweSample) *TrlweSample {
+func ExternalProduct(p Params, pm *nttMultiplier, dec decomposer, g *TrgswNTT, s *TrlweSample) *TrlweSample {
 	digits := make([]IntPoly, p.L)
 	for j := range digits {
 		digits[j] = make(IntPoly, p.N)
@@ -85,7 +192,7 @@ func ExternalProduct(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, 
 
 // CMux returns d0 + g ⊡ (d1 - d0): selects d1 when g encrypts 1, d0 when 0.
 // Both inputs are preserved.
-func CMux(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, d1, d0 *TrlweSample) *TrlweSample {
+func CMux(p Params, pm *nttMultiplier, dec decomposer, g *TrgswNTT, d1, d0 *TrlweSample) *TrlweSample {
 	diff := d1.Copy()
 	diff.SubTo(d0)
 	out := ExternalProduct(p, pm, dec, g, diff)
@@ -99,10 +206,11 @@ func CMux(p Params, pm *PolyMultiplier, dec decomposer, g *TrgswNTT, d1, d0 *Trl
 func (s *Scheme) blindRotateEagerInto(bk []*TrgswNTT, abar []int32, tv TorusPoly, acc *TrlweSample) {
 	p := s.Params
 	dec := newDecomposer(p)
+	pm := nttOracle(p.N)
 	initAccInto(abar, p.NLwe, tv, acc)
 	for i := 0; i < p.NLwe; i++ {
 		if abar[i] != 0 {
-			*acc = *CMux(p, s.PM, dec, bk[i], acc.MonomialMul(int(abar[i])), acc)
+			*acc = *CMux(p, pm, dec, bk[i], acc.MonomialMul(int(abar[i])), acc)
 		}
 	}
 }
@@ -182,12 +290,9 @@ func (s *TrlweSample) MonomialMul(e int) *TrlweSample {
 
 func TestExternalProductAndCMux(t *testing.T) {
 	p := FastTestParams()
-	pm, err := NewPolyMultiplier(p.N)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm := nttOracle(p.N)
 	rng := rand.New(rand.NewSource(11))
-	key := NewTrlweKey(p, pm, rng)
+	key := NewTrlweKey(p, NewPolyMultiplier(p.N), rng)
 	dec := newDecomposer(p)
 
 	mu := make(TorusPoly, p.N)

@@ -1,11 +1,11 @@
 package tfhe
 
-// Negacyclic floating-point transform for the trimmed bootstrapping
-// accumulator. The exact 61-bit NTT (poly.go) serves key generation and
-// encryption; this FFT is the blind-rotation engine: a length-N real negacyclic
-// product folds into a length-N/2 complex transform (half the butterflies of
-// a complex FFT of the same degree, and complex multiply-accumulate beats
-// the Barrett-reduced integer pointwise product ~3x per slot).
+// Negacyclic floating-point transform: the blind-rotation engine of the
+// trimmed bootstrapping accumulator and, over 16-bit mask halves, the exact
+// key-generation product (trlwe.go). A length-N real negacyclic product
+// folds into a length-N/2 complex transform (half the butterflies of a
+// complex FFT of the same degree, and complex multiply-accumulate beats the
+// Barrett-reduced integer pointwise product ~3x per slot).
 //
 // Folding: for p ∈ R[X]/(X^N+1) put c[j] = (p[j] + i·p[j+H])·φ^j with
 // H = N/2 and φ = e^{iπ/N}. The map lands in C[X]/(X^H − i); a plain
@@ -291,7 +291,7 @@ func (cp *cplxPool) Put(b []complex128) {
 }
 
 // Arena accessors for spectrum scratch, named for the arena-lifetime rule's
-// Borrow/Release vocabulary like the uint64 and digit arenas in poly.go.
+// Borrow/Release vocabulary like the digit arena in poly.go.
 
 func (pm *PolyMultiplier) borrowCplx() []complex128   { return pm.cplx.Get(pm.fft.h) }
 func (pm *PolyMultiplier) releaseCplx(b []complex128) { pm.cplx.Put(b) }

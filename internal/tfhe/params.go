@@ -3,9 +3,11 @@
 // products, blind rotation, sample extraction, LWE key switching,
 // programmable bootstrapping (PBS) and the boolean gate library.
 //
-// Negacyclic polynomial products are computed exactly through a 61-bit prime
-// NTT (no FFT rounding error), mirroring how the Alchemist accelerator also
-// runs TFHE on its NTT datapath.
+// Negacyclic polynomial products run on one folded float64 FFT (fft.go):
+// the blind rotation within its budgeted rounding error, and the
+// key-generation product exactly, by splitting the mask into 16-bit halves
+// (TrlweKey.keyProductInto). An exact 61-bit-prime NTT multiplier is kept
+// with the tests as the oracle both are checked against.
 package tfhe
 
 import "fmt"

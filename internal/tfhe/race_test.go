@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"alchemist/internal/prng"
 )
 
 // Race stress tests: a Scheme's key material (bootstrapping key, key-switch
@@ -99,4 +101,43 @@ func TestBootstrapBatchRace(t *testing.T) {
 		}(works[g])
 	}
 	wg.Wait()
+}
+
+// TestConcurrentTrlweEncrypt encrypts from many goroutines under one shared
+// ring key: the key's spectra are read-only and every encryption borrows its
+// FFT scratch from the multiplier's shared arenas, so each goroutine must
+// reproduce the sample a serial encryption with the same seed gives.
+func TestConcurrentTrlweEncrypt(t *testing.T) {
+	p := FastTestParams()
+	key := NewTrlweKey(p, NewPolyMultiplier(p.N), prng.New(5))
+	mu := make(TorusPoly, p.N)
+	for j := range mu {
+		mu[j] = Torus(j) << 20
+	}
+
+	const goroutines = 8
+	want := make([]*TrlweSample, goroutines)
+	for g := range want {
+		want[g] = key.Encrypt(mu, p.BkSigma, prng.New(int64(100+g)))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := key.Encrypt(mu, p.BkSigma, prng.New(int64(100+g)))
+			for j := range got.B {
+				if got.B[j] != want[g].B[j] || got.A[0][j] != want[g].A[0][j] {
+					errs <- "concurrent encryption differs from the serial one"
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -2,6 +2,7 @@ package tfhe
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,10 +11,7 @@ import (
 
 func TestPolyMultiplierMatchesSchoolbook(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
-		pm, err := NewPolyMultiplier(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pm := nttOracle(n)
 		rng := rand.New(rand.NewSource(1))
 		for trial := 0; trial < 5; trial++ {
 			a := make(IntPoly, n)
@@ -33,9 +31,62 @@ func TestPolyMultiplierMatchesSchoolbook(t *testing.T) {
 	}
 }
 
+// TestKeygenProductMatchesNTTOracle pins the key-generation product: the
+// FFT over centered 16-bit mask halves must equal the exact NTT product word
+// for word, on random masks and keys and on the edge words whose halves sit
+// at -2^15 against an all-ones key, where every coefficient of a
+// half-product reaches its largest magnitude.
+func TestKeygenProductMatchesNTTOracle(t *testing.T) {
+	edges := []Torus{0x80000000, 0x7fffffff, 0xffff8000}
+	for _, n := range []int{512, 1024, 2048} {
+		for _, k := range []int{1, 2} {
+			pm := NewPolyMultiplier(n)
+			oracle := nttOracle(n)
+			rng := rand.New(rand.NewSource(int64(n + k)))
+			check := func(key *TrlweKey, a []TorusPoly, what string) {
+				t.Helper()
+				got := make(TorusPoly, n)
+				key.keyProductInto(a, got)
+				want := oracle.keyProduct(key, a)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("N=%d k=%d %s: coeff %d = %#x, want %#x", n, k, what, j, got[j], want[j])
+					}
+				}
+			}
+			mask := func(word func(j int) Torus) []TorusPoly {
+				a := make([]TorusPoly, k)
+				for i := range a {
+					a[i] = make(TorusPoly, n)
+					for j := range a[i] {
+						a[i][j] = word(j)
+					}
+				}
+				return a
+			}
+			for trial := 0; trial < 50; trial++ {
+				key := NewTrlweKey(Params{N: n, K: k}, pm, rng)
+				check(key, mask(func(int) Torus { return rng.Uint32() }), "random")
+			}
+			ones := make([]IntPoly, k)
+			for i := range ones {
+				ones[i] = make(IntPoly, n)
+				for j := range ones[i] {
+					ones[i][j] = 1
+				}
+			}
+			key := newTrlweKey(pm, ones)
+			for _, w := range edges {
+				check(key, mask(func(int) Torus { return w }), fmt.Sprintf("all %#x", w))
+			}
+			check(key, mask(func(j int) Torus { return edges[j%len(edges)] }), "mixed edges")
+		}
+	}
+}
+
 // mulIntTorus returns the negacyclic product a·b (a integer digits, b torus)
 // through the exact NTT.
-func (pm *PolyMultiplier) mulIntTorus(a IntPoly, b TorusPoly) TorusPoly {
+func (pm *nttMultiplier) mulIntTorus(a IntPoly, b TorusPoly) TorusPoly {
 	acc := make([]uint64, pm.N)
 	pm.MulAcc(pm.IntToNTT(a), pm.TorusToNTT(b), acc)
 	return pm.FromNTT(acc)
@@ -149,12 +200,8 @@ func TestLweLinearOps(t *testing.T) {
 
 func TestTrlweEncryptDecrypt(t *testing.T) {
 	p := FastTestParams()
-	pm, err := NewPolyMultiplier(p.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(9))
-	key := NewTrlweKey(p, pm, rng)
+	key := NewTrlweKey(p, NewPolyMultiplier(p.N), rng)
 	mu := make(TorusPoly, p.N)
 	for i := range mu {
 		mu[i] = TorusFromDouble(0.125 * float64(1-2*(i%2)))
@@ -203,9 +250,8 @@ func TestGadgetDecomposition(t *testing.T) {
 
 func TestSampleExtract(t *testing.T) {
 	p := FastTestParams()
-	pm, _ := NewPolyMultiplier(p.N)
 	rng := rand.New(rand.NewSource(12))
-	key := NewTrlweKey(p, pm, rng)
+	key := NewTrlweKey(p, NewPolyMultiplier(p.N), rng)
 	mu := make(TorusPoly, p.N)
 	mu[0] = TorusFromDouble(0.2)
 	c := key.Encrypt(mu, 1e-9, rng)

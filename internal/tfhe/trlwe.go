@@ -22,20 +22,29 @@ func NewTrlweSample(n, k int) *TrlweSample {
 type TrlweKey struct {
 	S  []IntPoly
 	pm *PolyMultiplier
-	// sNTT caches the NTT of each key polynomial for fast encryption.
-	sNTT [][]uint64
+	// sFFT caches the folded spectrum of each key polynomial for
+	// encryption.
+	sFFT [][]complex128
 }
 
 // NewTrlweKey samples a binary TRLWE key.
 func NewTrlweKey(p Params, pm *PolyMultiplier, rng prng.Source) *TrlweKey {
-	k := &TrlweKey{pm: pm}
-	for i := 0; i < p.K; i++ {
-		s := make(IntPoly, p.N)
-		for j := range s {
-			s[j] = int32(rng.Intn(2))
+	s := make([]IntPoly, p.K)
+	for i := range s {
+		s[i] = make(IntPoly, p.N)
+		for j := range s[i] {
+			s[i][j] = int32(rng.Intn(2))
 		}
-		k.S = append(k.S, s)
-		k.sNTT = append(k.sNTT, pm.IntToNTT(s))
+	}
+	return newTrlweKey(pm, s)
+}
+
+// newTrlweKey wraps the binary key polynomials s and transforms them once.
+func newTrlweKey(pm *PolyMultiplier, s []IntPoly) *TrlweKey {
+	k := &TrlweKey{S: s, pm: pm, sFFT: make([][]complex128, len(s))}
+	for i := range s {
+		k.sFFT[i] = make([]complex128, pm.fft.h)
+		pm.fft.fwdInt(s[i], k.sFFT[i])
 	}
 	return k
 }
@@ -44,31 +53,55 @@ func NewTrlweKey(p Params, pm *PolyMultiplier, rng prng.Source) *TrlweKey {
 func (k *TrlweKey) Encrypt(mu TorusPoly, sigma float64, rng prng.Source) *TrlweSample {
 	n := k.pm.N
 	s := NewTrlweSample(n, len(k.S))
-	acc := make([]uint64, n)
-	for i := range k.S {
+	for i := range s.A {
 		for j := 0; j < n; j++ {
 			s.A[i][j] = rngTorus(rng)
 		}
-		k.pm.MulAcc(k.pm.TorusToNTT(s.A[i]), k.sNTT[i], acc)
 	}
-	dot := k.pm.FromNTT(acc)
+	k.keyProductInto(s.A, s.B)
 	for j := 0; j < n; j++ {
-		s.B[j] = dot[j] + mu[j] + gaussianTorus(rng, sigma)
+		s.B[j] += mu[j] + gaussianTorus(rng, sigma)
 	}
 	return s
 }
 
-// Phase returns B - Σ A_i·s_i.
-func (k *TrlweKey) Phase(s *TrlweSample) TorusPoly {
-	n := k.pm.N
-	acc := make([]uint64, n)
-	for i := range k.S {
-		k.pm.MulAcc(k.pm.TorusToNTT(s.A[i]), k.sNTT[i], acc)
+// keyProductInto sets out = Σ_i a_i·s_i, the exact negacyclic product mod
+// 2^32, on the FFT. Each mask word splits into centered 16-bit halves,
+// a = lo + 2^16·hi with lo, hi ∈ [-2^15, 2^15), and each half is multiplied
+// by the cached key spectrum. Against the binary key every coefficient of a
+// half-product is an integer of magnitude at most k·N·2^15, far inside
+// float64's exact range, so rounding recovers it exactly and
+// lo·s + 2^16·(hi·s) mod 2^32 is the product word for word.
+func (k *TrlweKey) keyProductInto(a []TorusPoly, out TorusPoly) {
+	pm := k.pm
+	f := pm.fft
+	half := pm.borrowInt()
+	spec := pm.borrowCplx()
+	accLo := pm.borrowCplx()
+	accHi := pm.borrowCplx()
+	clear(accLo)
+	clear(accHi)
+	for i, ai := range a {
+		for j, v := range ai {
+			half[j] = int32(int16(v))
+		}
+		f.fwdInt(half, spec)
+		cmulAdd(accLo, spec, k.sFFT[i])
+		for j, v := range ai {
+			half[j] = int32(int16((v - Torus(int16(v))) >> 16))
+		}
+		f.fwdInt(half, spec)
+		cmulAdd(accHi, spec, k.sFFT[i])
 	}
-	dot := k.pm.FromNTT(acc)
-	out := append(TorusPoly(nil), s.B...)
-	out.SubTo(dot)
-	return out
+	f.invTorusInto(accHi, out)
+	for j := range out {
+		out[j] <<= 16
+	}
+	f.invTorusAddInto(accLo, out)
+	pm.releaseCplx(accHi)
+	pm.releaseCplx(accLo)
+	pm.releaseCplx(spec)
+	pm.releaseInt(half)
 }
 
 // ExtractedLweKey returns the LWE key of dimension k·N matching
