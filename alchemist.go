@@ -108,7 +108,7 @@ var (
 	ErrGraphCycle = errs.ErrGraphCycle
 	// ErrBadConfig reports an invalid architecture, baseline or graph shape.
 	ErrBadConfig = errs.ErrBadConfig
-	// ErrIllegalStream reports a compiled per-unit Meta-OP program that
+	// ErrIllegalStream reports a compiled Meta-OP program that
 	// violates the §5.3 architectural contract; raised by evaluations run
 	// under WithVerifyStreams.
 	ErrIllegalStream = errs.ErrIllegalStream

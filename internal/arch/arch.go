@@ -64,6 +64,9 @@ func (c Config) Validate() error {
 	if c.Lanes&(c.Lanes-1) != 0 {
 		return fmt.Errorf("arch: lane width %d must be a power of two", c.Lanes)
 	}
+	if c.TransposeLanesPerCycle <= 0 {
+		return fmt.Errorf("arch: non-positive transpose width")
+	}
 	if c.FreqGHz <= 0 || c.HBMBytesPerSec <= 0 {
 		return fmt.Errorf("arch: non-positive frequency or bandwidth")
 	}

@@ -29,6 +29,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Units = 0 },
 		func(c *Config) { c.CoresPerUnit = -1 },
 		func(c *Config) { c.Lanes = 6 }, // not a power of two
+		func(c *Config) { c.TransposeLanesPerCycle = 0 },
 		func(c *Config) { c.FreqGHz = 0 },
 		func(c *Config) { c.HBMBytesPerSec = -1 },
 		func(c *Config) { c.WordBits = 4 },

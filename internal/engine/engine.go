@@ -131,8 +131,8 @@ func WithCache(cache *Cache) Option {
 	return func(c *config) { c.cache = cache; c.cacheSet = true }
 }
 
-// WithVerifyStreams makes every Alchemist job compile its graph to per-unit
-// Meta-OP streams and statically verify them (internal/streamcheck) before
+// WithVerifyStreams makes every Alchemist job compile its graph to a
+// Meta-OP program and statically verify it (internal/streamcheck) before
 // the timing model runs. A job whose compiled program violates the §5.3
 // contract fails with an error wrapping errs.ErrIllegalStream. Baseline
 // jobs have no Meta-OP streams and are unaffected. Verified and unverified

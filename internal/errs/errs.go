@@ -30,12 +30,11 @@ var (
 	// malformed op (empty shape, missing Bconv/DecompPolyMult parameters).
 	ErrBadConfig = errors.New("invalid configuration")
 
-	// ErrIllegalStream marks a compiled per-unit Meta-OP program that
-	// violates the architectural contract (§5.3): an instruction outside
-	// the Meta-OP legality table, a scratchpad or transpose resource
-	// violation, a Meta-OP conservation or load-balance failure, or broken
-	// graph linkage. Raised by internal/streamcheck and surfaced through
-	// sched.Compile's post-condition, the sim pre-execution gate and the
-	// engine's WithVerifyStreams option.
+	// ErrIllegalStream marks a compiled Meta-OP program that violates the
+	// architectural contract (§5.3): an instruction outside the Meta-OP
+	// legality table, a scratchpad or transpose resource violation, a
+	// Meta-OP conservation failure, or broken graph linkage. Raised by
+	// internal/streamcheck and surfaced through the engine's
+	// WithVerifyStreams option.
 	ErrIllegalStream = errors.New("illegal Meta-OP stream")
 )

@@ -515,8 +515,7 @@ var vocabNames = map[string]bool{
 	"condSubMask": true, "reduceOnce": true, "AddMod": true, "SubMod": true,
 	"NegMod": true, "MulMod": true, "ReduceWord": true, "Reduce": true,
 	"ReduceSigned": true, "ShoupPrecomp": true, "PowMod": true, "InvMod": true,
-	"NTTLazy": true, "INTTLazy": true, "NTT": true, "INTT": true,
-	"Q": true, "Moduli": true,
+	"NTTLazy": true, "INTTLazy": true, "Q": true, "Moduli": true,
 }
 
 // ---------------------------------------------------------------------------
@@ -1448,7 +1447,7 @@ func (fa *lbFunc) evalCall(call *ast.CallExpr, st *lbState, report func(Finding)
 			}
 			return out
 		}
-	case "NTTLazy", "INTTLazy", "NTT", "INTT":
+	case "NTTLazy", "INTTLazy":
 		if len(args) == 1 {
 			if r := fa.rootOf(args[0]); r != nil {
 				if k := r.activeCeiling(args[0].Pos()); k > 1 && r.annotated {

@@ -107,6 +107,11 @@ func TestBorrowReleaseShapes(t *testing.T) {
 	if b == a {
 		t.Error("Borrow(0) returned a level-1 poly")
 	}
+	// Under -race sync.Pool drops Puts by design, so the released poly may
+	// be gone; only the reuse is skipped, never the level check above.
+	if raceEnabled {
+		return
+	}
 	c := r.Borrow(1)
 	if c != a {
 		t.Error("Borrow(1) did not reuse the released level-1 poly")

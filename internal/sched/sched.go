@@ -1,18 +1,20 @@
-// Package sched compiles workload graphs into per-computing-unit Meta-OP
-// instruction streams, realizing the paper's data management (§5.3): every
-// polynomial is distributed across units by slot (Fig. 5b), each unit's
-// stream touches only its private scratchpad, and the only inter-unit
-// traffic is the transpose phase of the 4-step NTT.
+// Package sched compiles workload graphs into Meta-OP programs under the
+// paper's data management (§5.3): every polynomial is distributed across
+// computing units by slot (Fig. 5b), each unit touches only its private
+// scratchpad, and the only inter-unit traffic is the transpose phase of the
+// 4-step NTT.
 //
-// The compiled Program can be executed by the per-unit interpreter in this
-// package (Execute), which models each unit's 16 cores independently and is
-// cross-checked against the aggregate model in internal/sim.
+// A compiled Phase holds its Meta-OP runs once, counted over the whole
+// phase. Slot partitioning makes each unit's share a rule, not data:
+// UnitCount derives it, and Execute, PhaseCycles and the stream verifier
+// all read per-unit counts through it. Execute models each unit's 16 cores
+// independently and is cross-checked against the aggregate model in
+// internal/sim.
 package sched
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"alchemist/internal/arch"
 	"alchemist/internal/errs"
@@ -20,38 +22,23 @@ import (
 	"alchemist/internal/trace"
 )
 
-// Instr is a run of identical Meta-OPs on one computing unit.
+// Instr is a run of identical Meta-OPs, counted over all units of a phase.
 type Instr struct {
 	Pattern metaop.AccessPattern
 	NAccum  int   // the Meta-OP's n
 	Cycles  int   // per Meta-OP
-	Count   int64 // identical Meta-OPs in this run
+	Count   int64 // identical Meta-OPs in this run, across all units
 	Label   string
 }
 
-// UnitStream is the ordered instruction stream of one computing unit within
-// a phase.
-type UnitStream struct {
-	Instrs []Instr
-}
-
-// MetaOps returns the total Meta-OP count of the stream.
-func (u UnitStream) MetaOps() int64 {
-	var t int64
-	for _, in := range u.Instrs {
-		t += in.Count
-	}
-	return t
-}
-
-// Phase is the compiled form of one graph op: per-unit streams plus the
+// Phase is the compiled form of one graph op: its Meta-OP runs plus the
 // non-compute effects (transpose crossing, HBM stream).
 type Phase struct {
 	OpID  int
 	Kind  trace.Kind
 	Label string
 
-	Units []UnitStream
+	Instrs []Instr
 
 	// TransposeElems counts elements crossing the transpose register file
 	// after this phase's compute (non-local NTT passes only).
@@ -73,38 +60,19 @@ type Program struct {
 	Phases []Phase
 }
 
-// CheckFunc is a post-compile verifier: it receives the source graph and
-// the program compiled from it and returns a non-nil error when the program
-// violates the architectural contract.
-type CheckFunc func(g *trace.Graph, p *Program) error
-
-// postCheck is the optional Compile post-condition. internal/streamcheck
-// registers its verifier here (the indirection breaks the import cycle:
-// streamcheck needs this package's Program type).
-var (
-	checkMu   sync.RWMutex
-	postCheck CheckFunc
-)
-
-// SetPostCompileCheck installs (or, with nil, removes) a verifier that runs
-// on every program Compile produces, turning compiler bugs into compile
-// errors instead of silently wrong cycle counts.
-func SetPostCompileCheck(f CheckFunc) {
-	checkMu.Lock()
-	postCheck = f
-	checkMu.Unlock()
+// UnitCount returns unit u's share of a run of count Meta-OPs. Every unit
+// owns N/units slots of every channel of every dnum group (Fig. 5b), so
+// the run splits evenly and the remainder goes to the low-numbered units.
+func UnitCount(count int64, u, units int) int64 {
+	c := count / int64(units)
+	if int64(u) < count%int64(units) {
+		c++
+	}
+	return c
 }
 
-func compileCheck() CheckFunc {
-	checkMu.RLock()
-	defer checkMu.RUnlock()
-	return postCheck
-}
-
-// Compile lowers every op of the graph into per-unit Meta-OP streams under
-// the slot-based partitioning. Failures wrap the errs sentinels
-// (errs.ErrBadConfig for shape problems; errs.ErrIllegalStream when an
-// installed post-compile check rejects the output).
+// Compile lowers every op of the graph into a phase of Meta-OP runs under
+// the slot-based partitioning. Failures wrap errs.ErrBadConfig.
 func Compile(cfg arch.Config, g *trace.Graph) (*Program, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: %w: %w", errs.ErrBadConfig, err)
@@ -116,50 +84,32 @@ func Compile(cfg arch.Config, g *trace.Graph) (*Program, error) {
 		return nil, fmt.Errorf("sched: lane width %d unsupported (Meta-OP lowering is j=%d): %w",
 			cfg.Lanes, metaop.J, errs.ErrBadConfig)
 	}
-	prog := &Program{Cfg: cfg, Name: g.Name}
-	units := cfg.Units
+	prog := &Program{Cfg: cfg, Name: g.Name, Phases: make([]Phase, 0, len(g.Ops))}
 	for _, op := range g.Ops {
 		ph := Phase{
-			OpID:  op.ID,
-			Kind:  op.Kind,
-			Label: op.Label,
-			Units: make([]UnitStream, units),
-			Deps:  append([]int(nil), op.Deps...),
+			OpID:        op.ID,
+			Kind:        op.Kind,
+			Label:       op.Label,
+			StreamBytes: op.StreamBytes,
+			Deps:        append([]int(nil), op.Deps...),
 		}
-		ph.StreamBytes = op.StreamBytes
-		// Slot partitioning: every unit owns N/units slots of every channel
-		// of every dnum group (Fig. 5b), so Meta-OP counts split evenly;
-		// the remainder goes to the low-numbered units.
 		for _, b := range metaop.Lower(op) {
-			per := b.Count / int64(units)
-			rem := b.Count % int64(units)
-			for u := 0; u < units; u++ {
-				c := per
-				if int64(u) < rem {
-					c++
-				}
-				if c == 0 {
-					continue
-				}
-				ph.Units[u].Instrs = append(ph.Units[u].Instrs, Instr{
-					Pattern: b.Pattern,
-					NAccum:  b.NAccum,
-					Cycles:  b.Cycles,
-					Count:   c,
-					Label:   b.Label,
-				})
+			if b.Count == 0 {
+				continue
 			}
+			ph.Instrs = append(ph.Instrs, Instr{
+				Pattern: b.Pattern,
+				NAccum:  b.NAccum,
+				Cycles:  b.Cycles,
+				Count:   b.Count,
+				Label:   b.Label,
+			})
 		}
 		if (op.Kind == trace.KindNTT || op.Kind == trace.KindINTT) &&
 			!op.Local && op.N > cfg.Units {
 			ph.TransposeElems = int64(op.N) * int64(op.Channels) * int64(op.Polys)
 		}
 		prog.Phases = append(prog.Phases, ph)
-	}
-	if f := compileCheck(); f != nil {
-		if err := f(g, prog); err != nil {
-			return nil, fmt.Errorf("sched: %w", err)
-		}
 	}
 	return prog, nil
 }
@@ -171,13 +121,44 @@ func (p *Program) Clone() *Program {
 	for i, ph := range p.Phases {
 		np := ph
 		np.Deps = append([]int(nil), ph.Deps...)
-		np.Units = make([]UnitStream, len(ph.Units))
-		for u, us := range ph.Units {
-			np.Units[u].Instrs = append([]Instr(nil), us.Instrs...)
-		}
+		np.Instrs = append([]Instr(nil), ph.Instrs...)
 		q.Phases[i] = np
 	}
 	return q
+}
+
+// unitCycles returns the compute cycles unit u spends on the phase: the
+// unit's cores drain each of its runs in parallel rounds, slowed by the
+// run's scratchpad access-pattern efficiency. Runs with no Meta-OPs on the
+// unit cost nothing.
+func unitCycles(cfg arch.Config, ph *Phase, u int) int64 {
+	cores := int64(cfg.CoresPerUnit)
+	var t int64
+	for _, in := range ph.Instrs {
+		c := UnitCount(in.Count, u, cfg.Units)
+		if c < 1 {
+			continue
+		}
+		rounds := (c + cores - 1) / cores
+		eff := metaop.PatternEfficiency[in.Pattern]
+		if eff <= 0 || eff > 1 {
+			eff = 1
+		}
+		t += int64(math.Ceil(float64(rounds*int64(in.Cycles)) / eff))
+	}
+	return t
+}
+
+// PhaseCycles returns how long the phase holds the core array: the compute
+// of its longest unit, then the transpose crossing. Unit 0 takes the
+// remainder of every run, so no unit outlasts it.
+func PhaseCycles(cfg arch.Config, ph *Phase) (compute, transpose int64) {
+	compute = unitCycles(cfg, ph, 0)
+	if ph.TransposeElems > 0 {
+		lanes := int64(cfg.TransposeLanesPerCycle)
+		transpose = (ph.TransposeElems + lanes - 1) / lanes
+	}
+	return compute, transpose
 }
 
 // ExecResult is the outcome of per-unit execution.
@@ -194,39 +175,26 @@ type ExecResult struct {
 	MemCycles int64
 }
 
-// Execute interprets the program: each phase runs its unit streams in
-// parallel (a unit's cores consume its Meta-OPs 16 at a time), the phase
-// ends when the slowest unit and the transpose crossing finish, and HBM
+// Execute interprets the program: each phase runs its units in parallel
+// (a unit's cores consume its Meta-OPs 16 at a time), the phase ends when
+// the slowest unit and the transpose crossing finish (PhaseCycles), and HBM
 // streams gate phase starts exactly as in internal/sim.
 func Execute(p *Program) ExecResult {
 	cfg := p.Cfg
-	cores := int64(cfg.CoresPerUnit)
 	res := ExecResult{PerUnitBusy: make([]int64, cfg.Units)}
 	finish := make([]int64, len(p.Phases))
 	var computeFree, memFree int64
 
-	for i, ph := range p.Phases {
-		// Per-unit duration: cores inside a unit drain the stream in
-		// parallel runs of 16.
-		var longest int64
-		for u := range ph.Units {
-			var t int64
-			for _, in := range ph.Units[u].Instrs {
-				rounds := (in.Count + cores - 1) / cores
-				dt := rounds * int64(in.Cycles)
-				eff := metaop.PatternEfficiency[in.Pattern]
-				t += int64(math.Ceil(float64(dt) / eff))
-			}
-			res.PerUnitBusy[u] += t
-			if t > longest {
-				longest = t
-			}
+	for i := range p.Phases {
+		ph := &p.Phases[i]
+		for u := range res.PerUnitBusy {
+			res.PerUnitBusy[u] += unitCycles(cfg, ph, u)
 		}
-		var transpose int64
-		if ph.TransposeElems > 0 {
-			transpose = (ph.TransposeElems + int64(cfg.TransposeLanesPerCycle) - 1) /
-				int64(cfg.TransposeLanesPerCycle)
-			res.TransposeCycles += transpose
+		longest, transpose := PhaseCycles(cfg, ph)
+		res.TransposeCycles += transpose
+		// Busy lane-cycles: every Meta-OP keeps its unit's lanes multiplying.
+		for _, in := range ph.Instrs {
+			res.BusyLaneCycles += in.Count * int64(in.Cycles) * int64(cfg.Lanes)
 		}
 		var streamDone int64
 		if ph.StreamBytes > 0 {
@@ -264,14 +232,6 @@ func Execute(p *Program) ExecResult {
 	if sum > 0 {
 		mean := float64(sum) / float64(len(res.PerUnitBusy))
 		res.Imbalance = float64(max) / mean
-	}
-	// Busy lane-cycles: every Meta-OP keeps its unit's lanes multiplying.
-	for _, ph := range p.Phases {
-		for _, us := range ph.Units {
-			for _, in := range us.Instrs {
-				res.BusyLaneCycles += in.Count * int64(in.Cycles) * int64(cfg.Lanes)
-			}
-		}
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"alchemist/internal/arch"
+	"alchemist/internal/metaop"
 	"alchemist/internal/sim"
 	"alchemist/internal/trace"
 	"alchemist/internal/workload"
@@ -97,13 +98,13 @@ func TestMetaOpConservation(t *testing.T) {
 	p := compile(t, g)
 	var compiled int64
 	for _, ph := range p.Phases {
-		for _, us := range ph.Units {
-			compiled += us.MetaOps()
+		for _, in := range ph.Instrs {
+			compiled += in.Count
 		}
 	}
 	var lowered int64
 	for _, op := range g.Ops {
-		for _, b := range sim.Lower(op) {
+		for _, b := range metaop.Lower(op) {
 			lowered += b.Count
 		}
 	}
@@ -141,4 +142,68 @@ func TestStreamGatingMatchesSim(t *testing.T) {
 	if res.Cycles < res.MemCycles {
 		t.Fatal("makespan cannot beat the stream")
 	}
+}
+
+// TestUnitCountSplitsEveryBucket holds the slot-partition rule to its
+// contract on every Meta-OP run of every benchmark workload (the set
+// cmd/alchemist runs): the unit shares sum to the run, differ by at most
+// one, and a run shorter than the unit count leaves the units past it idle.
+// Besides the paper's 128 units, the runs are split over 127 units, which
+// leaves a remainder on almost every run, and over 4096, more than the
+// shorter runs have Meta-OPs.
+func TestUnitCountSplitsEveryBucket(t *testing.T) {
+	paper := workload.PaperShape()
+	app := workload.AppShape()
+	boot := workload.DefaultBootstrapConfig()
+	graphs := []*trace.Graph{
+		workload.Pmult(paper),
+		workload.Hadd(paper),
+		workload.Keyswitch(paper),
+		workload.Cmult(paper),
+		workload.Rotation(paper),
+		workload.Bootstrap(app, boot),
+		workload.HELRBlock(app, workload.DefaultHELRConfig(), boot),
+		workload.LoLaMNIST(workload.DefaultLoLaConfig(false)),
+		workload.LoLaMNIST(workload.DefaultLoLaConfig(true)),
+		workload.PBSBatch(workload.PBSSetI(), 128),
+		workload.PBSBatch(workload.PBSSetII(), 128),
+		workload.CrossScheme(app, workload.PBSSetI(), 2, 1, 128),
+		workload.SchemeSwitch(app, workload.PBSSetI(), 128),
+	}
+	// Runs repeat across phases; each distinct count is split once.
+	counts := map[int64]bool{}
+	for _, g := range graphs {
+		for _, ph := range compile(t, g).Phases {
+			for _, in := range ph.Instrs {
+				counts[in.Count] = true
+			}
+		}
+	}
+	short := 0
+	for count := range counts {
+		if count < 4096 {
+			short++
+		}
+	}
+	if short == 0 {
+		t.Fatal("no run shorter than 4096 Meta-OPs; the idle-unit case goes untested")
+	}
+	for _, units := range []int{arch.Default().Units, 127, 4096} {
+		for count := range counts {
+			var sum int64
+			lo, hi := count, int64(0)
+			for u := 0; u < units; u++ {
+				c := UnitCount(count, u, units)
+				sum += c
+				lo, hi = min(lo, c), max(hi, c)
+				if int64(u) >= count && c != 0 {
+					t.Fatalf("%d units: unit %d gets %d of a %d-run", units, u, c, count)
+				}
+			}
+			if sum != count || hi-lo > 1 {
+				t.Fatalf("%d units: a %d-run splits to sum %d, spread %d..%d", units, count, sum, lo, hi)
+			}
+		}
+	}
+	t.Logf("%d distinct run lengths, %d shorter than 4096", len(counts), short)
 }

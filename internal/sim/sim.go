@@ -15,19 +15,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"alchemist/internal/arch"
 	"alchemist/internal/errs"
 	"alchemist/internal/metaop"
 	"alchemist/internal/trace"
 )
-
-// PatternEfficiency is the scratchpad efficiency of each Meta-OP access
-// pattern (Table 4). The table lives in internal/metaop so the lowering,
-// both simulators and the stream verifier share one copy; this alias keeps
-// the historical sim.PatternEfficiency name working.
-var PatternEfficiency = metaop.PatternEfficiency
 
 // ClassStats aggregates activity per Figure 1 operator class.
 type ClassStats struct {
@@ -79,37 +72,6 @@ func (r Result) String() string {
 		r.Name, r.Cycles, r.Seconds, r.Utilization, r.ComputeCycles, r.MemCycles)
 }
 
-// Lower converts one op into Meta-OP batches. The lowering lives in
-// internal/metaop (shared with internal/sched and internal/streamcheck);
-// this wrapper keeps the historical sim.Lower name working. Panics on an
-// unknown op kind (the trace layer validates kinds on construction).
-func Lower(op *trace.Op) []metaop.Batch { return metaop.Lower(op) }
-
-// gate is the optional pre-execution stream verifier. When installed (see
-// SetPreSimGate), every Simulate call first compiles the graph to per-unit
-// Meta-OP streams and statically verifies them, so an illegal program never
-// reaches the timing model.
-var (
-	gateMu sync.RWMutex
-	gate   func(arch.Config, *trace.Graph) error
-)
-
-// SetPreSimGate installs (or, with nil, removes) a verifier that runs at
-// the top of every Simulate call. internal/streamcheck registers its
-// checker here; the indirection exists because streamcheck sits above the
-// scheduler, which this package must stay importable from.
-func SetPreSimGate(f func(arch.Config, *trace.Graph) error) {
-	gateMu.Lock()
-	gate = f
-	gateMu.Unlock()
-}
-
-func preSimGate() func(arch.Config, *trace.Graph) error {
-	gateMu.RLock()
-	defer gateMu.RUnlock()
-	return gate
-}
-
 // EagerMults returns the op's raw multiplication count under eager per-term
 // reduction (the "origin" columns of Tables 2 and 3), for Fig. 7(a).
 func EagerMults(op *trace.Op) int64 {
@@ -138,11 +100,6 @@ func Simulate(cfg arch.Config, g *trace.Graph) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
-	if f := preSimGate(); f != nil {
-		if err := f(cfg, g); err != nil {
-			return Result{}, fmt.Errorf("sim: %w", err)
-		}
-	}
 	cores := int64(cfg.Cores())
 	res := Result{
 		Name:     g.Name,
@@ -158,12 +115,11 @@ func Simulate(cfg arch.Config, g *trace.Graph) (Result, error) {
 	bytesPerCycle := cfg.HBMBytesPerCycle()
 
 	for _, op := range g.Ops {
-		batches := Lower(op)
 		var occupancy, busy, lazy int64
-		for _, b := range batches {
+		for _, b := range metaop.Lower(op) {
 			perCore := (b.Count + cores - 1) / cores
 			t := perCore * int64(b.Cycles)
-			eff := PatternEfficiency[b.Pattern]
+			eff := metaop.PatternEfficiency[b.Pattern]
 			occupancy += int64(math.Ceil(float64(t) / eff))
 			busy += b.TotalMults()
 			lazy += b.TotalMults()

@@ -59,34 +59,6 @@ func Mutators() []Mutator {
 			},
 		},
 		{
-			Name: "unit-imbalance",
-			Doc:  "moves two Meta-OPs of one family from unit 0 to unit 1, keeping totals intact but breaking the max-min <= 1 slot-partitioning balance",
-			Apply: func(p *sched.Program) bool {
-				for i := range p.Phases {
-					ph := &p.Phases[i]
-					if len(ph.Units) < 2 {
-						continue
-					}
-					for a := range ph.Units[0].Instrs {
-						src := &ph.Units[0].Instrs[a]
-						if src.Count <= 2 {
-							continue
-						}
-						for b := range ph.Units[1].Instrs {
-							dst := &ph.Units[1].Instrs[b]
-							if dst.Label != src.Label {
-								continue
-							}
-							src.Count -= 2
-							dst.Count += 2
-							return true
-						}
-					}
-				}
-				return false
-			},
-		},
-		{
 			Name: "scratchpad-overflow",
 			Doc:  "shrinks the per-unit scratchpad below any operand tile, so every phase overflows its live set",
 			Apply: func(p *sched.Program) bool {
@@ -209,10 +181,8 @@ func Mutators() []Mutator {
 // firstInstr returns the first instruction of the program, or nil.
 func firstInstr(p *sched.Program) *sched.Instr {
 	for i := range p.Phases {
-		for u := range p.Phases[i].Units {
-			if len(p.Phases[i].Units[u].Instrs) > 0 {
-				return &p.Phases[i].Units[u].Instrs[0]
-			}
+		if len(p.Phases[i].Instrs) > 0 {
+			return &p.Phases[i].Instrs[0]
 		}
 	}
 	return nil
@@ -222,12 +192,10 @@ func firstInstr(p *sched.Program) *sched.Instr {
 // (M8A8)_nR8, or nil.
 func firstAccumulating(p *sched.Program) *sched.Instr {
 	for i := range p.Phases {
-		for u := range p.Phases[i].Units {
-			for k := range p.Phases[i].Units[u].Instrs {
-				in := &p.Phases[i].Units[u].Instrs[k]
-				if s, ok := metaop.Specs[in.Label]; ok && s.Accumulating {
-					return in
-				}
+		for k := range p.Phases[i].Instrs {
+			in := &p.Phases[i].Instrs[k]
+			if s, ok := metaop.Specs[in.Label]; ok && s.Accumulating {
+				return in
 			}
 		}
 	}

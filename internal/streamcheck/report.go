@@ -7,24 +7,19 @@ import (
 	"alchemist/internal/trace"
 )
 
-// Finding is one contract violation located in the program. Phase and Unit
-// are -1 when the violation is program- or phase-level.
+// Finding is one contract violation located in the program. Phase is -1
+// when the violation is program-level.
 type Finding struct {
 	Phase int
-	Unit  int
-	Rule  string // instr, scratchpad, stream, transpose, conserve, balance, linkage, label, config
+	Rule  string // instr, scratchpad, stream, transpose, conserve, linkage, label, config
 	Msg   string
 }
 
 func (f Finding) String() string {
-	switch {
-	case f.Phase < 0:
+	if f.Phase < 0 {
 		return fmt.Sprintf("[%s] %s", f.Rule, f.Msg)
-	case f.Unit < 0:
-		return fmt.Sprintf("[%s] phase %d: %s", f.Rule, f.Phase, f.Msg)
-	default:
-		return fmt.Sprintf("[%s] phase %d unit %d: %s", f.Rule, f.Phase, f.Unit, f.Msg)
 	}
+	return fmt.Sprintf("[%s] phase %d: %s", f.Rule, f.Phase, f.Msg)
 }
 
 // PhaseReport is the verified census of one compiled phase.
@@ -34,7 +29,7 @@ type PhaseReport struct {
 	Kind  trace.Kind
 	Label string
 
-	MetaOps int64 // Meta-OPs across all unit streams
+	MetaOps int64 // Meta-OPs across all units
 	Mults   int64 // raw multiplier activations (lazy form)
 	Cycles  int64 // occupancy of the slowest unit plus the transpose crossing
 
@@ -69,10 +64,8 @@ type Report struct {
 // Clean reports whether the program satisfies the whole contract.
 func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 
-func (r *Report) addf(phase, unit int, rule, format string, args ...any) {
-	r.Findings = append(r.Findings, Finding{
-		Phase: phase, Unit: unit, Rule: rule, Msg: fmt.Sprintf(format, args...),
-	})
+func (r *Report) addf(phase int, rule, format string, args ...any) {
+	r.Findings = append(r.Findings, Finding{Phase: phase, Rule: rule, Msg: fmt.Sprintf(format, args...)})
 }
 
 // String renders the one-line verdict.

@@ -1,10 +1,10 @@
-// Package streamcheck statically verifies compiled per-unit Meta-OP
-// programs against the architectural contract of §5.3, without executing
-// them. Given the source trace.Graph, the arch.Config and the
-// sched.Program compiled from them, Check proves four families of
-// invariants and reports every violation as a Finding:
+// Package streamcheck statically verifies compiled Meta-OP programs
+// against the architectural contract of §5.3, without executing them.
+// Given the source trace.Graph, the arch.Config and the sched.Program
+// compiled from them, Check proves four families of invariants and reports
+// every violation as a Finding:
 //
-//   - instr: every instruction is a row of the Meta-OP legality table
+//   - instr: every Meta-OP run is a row of the Meta-OP legality table
 //     (metaop.Specs) — known family, accumulation depth n ≥ 1 matching the
 //     operator shape (radix stages pinned, Bconv accumulation = source
 //     channels, DecompPolyMult = dnum), Cycles = n+2 for accumulating
@@ -15,24 +15,24 @@
 //     StreamBound, informationally — keyswitch-class ops are legitimately
 //     evk-bandwidth-bound), and transpose element counts match the 4-step
 //     NTT shape exactly.
-//   - conserve / balance: per phase, the per-family Meta-OP totals across
-//     units equal the shared lowering (metaop.Lower) exactly, raw-mult
-//     totals equal the analytical lazy formulas of Tables 2 and 3
-//     (metaop.LazyMults), and the slot partitioning spreads every family
-//     across units with max−min ≤ 1.
+//   - conserve: per phase, the per-family Meta-OP totals equal the shared
+//     lowering (metaop.Lower) exactly, and raw-mult totals equal the
+//     analytical lazy formulas of Tables 2 and 3 (metaop.LazyMults).
 //   - linkage / label / config: every phase resolves to its graph op in
 //     order with matching kind, label and dependencies; labels are
-//     non-empty and unique within a unit stream; the configuration has the
-//     Meta-OP lane width and one stream per unit.
+//     non-empty and unique within a phase; the configuration has the
+//     Meta-OP lane width.
+//
+// A phase stores each run once with its whole-phase count; each unit's
+// share follows from sched.UnitCount, so the slot partitioning's balance
+// holds by construction and is not checked here.
 //
 // Verify folds a non-clean report into an error wrapping
-// errs.ErrIllegalStream. The verifier is wired in three places: as a
-// sched.Compile post-condition (InstallCompileGate), as a pre-execution
-// gate in internal/sim (InstallSimGate) — both opt-in, also switchable with
-// the ALCHEMIST_VERIFY_STREAMS environment variable — and per-job in the
-// batch engine via alchemist.WithVerifyStreams. The mutation harness in
-// mutate.go turns the checker on itself: systematic single-defect mutations
-// of real compiled programs must all be caught.
+// errs.ErrIllegalStream. CompileAndVerify runs it after sched.Compile; the
+// batch engine calls that per job under alchemist.WithVerifyStreams, and
+// `alchemist check` prints the full report. The mutation harness in
+// mutate.go turns the checker on itself: systematic single-defect
+// mutations of real compiled programs must all be caught.
 package streamcheck
 
 import (
@@ -66,13 +66,13 @@ func Check(g *trace.Graph, p *sched.Program) (*Report, error) {
 
 	r := &Report{Name: p.Name, ScratchpadCapacity: cfg.LocalScratchpadBytes}
 	if p.Name != g.Name {
-		r.addf(-1, -1, "linkage", "program name %q does not match graph name %q", p.Name, g.Name)
+		r.addf(-1, "linkage", "program name %q does not match graph name %q", p.Name, g.Name)
 	}
 	if cfg.Lanes != metaop.J {
-		r.addf(-1, -1, "config", "lane width %d is not the Meta-OP width j=%d", cfg.Lanes, metaop.J)
+		r.addf(-1, "config", "lane width %d is not the Meta-OP width j=%d", cfg.Lanes, metaop.J)
 	}
 	if len(p.Phases) != len(g.Ops) {
-		r.addf(-1, -1, "linkage", "%d phases compiled from %d graph ops", len(p.Phases), len(g.Ops))
+		r.addf(-1, "linkage", "%d phases compiled from %d graph ops", len(p.Phases), len(g.Ops))
 	}
 
 	seen := make([]bool, len(g.Ops))
@@ -91,98 +91,91 @@ func Check(g *trace.Graph, p *sched.Program) (*Report, error) {
 		var op *trace.Op
 		switch {
 		case ph.OpID < 0 || ph.OpID >= len(g.Ops):
-			r.addf(i, -1, "linkage", "op id %d outside graph [0,%d)", ph.OpID, len(g.Ops))
+			r.addf(i, "linkage", "op id %d outside graph [0,%d)", ph.OpID, len(g.Ops))
 		default:
 			if seen[ph.OpID] {
-				r.addf(i, -1, "linkage", "op %d compiled more than once", ph.OpID)
+				r.addf(i, "linkage", "op %d compiled more than once", ph.OpID)
 			}
 			seen[ph.OpID] = true
 			if ph.OpID != i {
-				r.addf(i, -1, "linkage", "compiled from op %d; phases must follow graph order", ph.OpID)
+				r.addf(i, "linkage", "compiled from op %d; phases must follow graph order", ph.OpID)
 			}
 			op = g.Ops[ph.OpID]
 		}
 		if op != nil {
 			if ph.Kind != op.Kind {
-				r.addf(i, -1, "linkage", "kind %v does not match op kind %v", ph.Kind, op.Kind)
+				r.addf(i, "linkage", "kind %v does not match op kind %v", ph.Kind, op.Kind)
 			}
 			if ph.Label != op.Label {
-				r.addf(i, -1, "label", "label %q does not match op label %q", ph.Label, op.Label)
+				r.addf(i, "label", "label %q does not match op label %q", ph.Label, op.Label)
 			}
 			if !equalInts(ph.Deps, op.Deps) {
-				r.addf(i, -1, "linkage", "deps %v do not match op deps %v", ph.Deps, op.Deps)
+				r.addf(i, "linkage", "deps %v do not match op deps %v", ph.Deps, op.Deps)
 			}
 		}
 		if ph.Label == "" {
-			r.addf(i, -1, "label", "empty phase label")
-		}
-		if len(ph.Units) != cfg.Units {
-			r.addf(i, -1, "config", "%d unit streams for %d units", len(ph.Units), cfg.Units)
+			r.addf(i, "label", "empty phase label")
 		}
 
 		// Instruction legality against the shared Meta-OP table, plus the
-		// per-family per-unit census for the conservation checks below.
-		perUnit := map[string][]int64{}
-		for u := range ph.Units {
-			dup := map[string]bool{}
-			for _, in := range ph.Units[u].Instrs {
-				if in.Label == "" {
-					r.addf(i, u, "label", "unlabeled instruction")
-				}
-				if dup[in.Label] {
-					r.addf(i, u, "label", "duplicate instruction label %q in unit stream", in.Label)
-				}
-				dup[in.Label] = true
-				spec, ok := metaop.Specs[in.Label]
-				if !ok {
-					r.addf(i, u, "instr", "%q is not a Meta-OP family the core array executes", in.Label)
-					continue
-				}
-				if in.Count < 1 {
-					r.addf(i, u, "instr", "%q has non-positive count %d", in.Label, in.Count)
-					continue
-				}
-				if in.NAccum < 1 {
-					r.addf(i, u, "instr", "%q has accumulation depth %d < 1", in.Label, in.NAccum)
-				}
-				if in.Pattern != spec.Pattern {
-					r.addf(i, u, "instr", "%q uses access pattern %v; the family requires %v",
-						in.Label, in.Pattern, spec.Pattern)
-				}
-				if want := spec.CyclesFor(in.NAccum); in.Cycles != want {
-					r.addf(i, u, "instr", "%q at n=%d claims %d cycles; (M8A8)_nR8 timing requires %d",
-						in.Label, in.NAccum, in.Cycles, want)
-				}
-				if spec.Accumulating {
-					if want, ok := shapeAccum(in.Label, spec, op); ok && in.NAccum != want {
-						r.addf(i, u, "instr", "%q runs at depth n=%d; the operator shape requires n=%d",
-							in.Label, in.NAccum, want)
-					}
-				} else if in.NAccum != 1 {
-					r.addf(i, u, "instr", "non-accumulating %q at depth n=%d", in.Label, in.NAccum)
-				}
-				if perUnit[in.Label] == nil {
-					perUnit[in.Label] = make([]int64, len(ph.Units))
-				}
-				perUnit[in.Label][u] += in.Count
-				pr.MetaOps += in.Count
-				pr.Mults += in.Count * spec.MultsFor(in.NAccum)
+		// per-family census for the conservation checks below.
+		perFamily := map[string]int64{}
+		dup := map[string]bool{}
+		for _, in := range ph.Instrs {
+			if in.Label == "" {
+				r.addf(i, "label", "unlabeled instruction")
 			}
+			if dup[in.Label] {
+				r.addf(i, "label", "duplicate instruction label %q in phase", in.Label)
+			}
+			dup[in.Label] = true
+			spec, ok := metaop.Specs[in.Label]
+			if !ok {
+				r.addf(i, "instr", "%q is not a Meta-OP family the core array executes", in.Label)
+				continue
+			}
+			if in.Count < 1 {
+				r.addf(i, "instr", "%q has non-positive count %d", in.Label, in.Count)
+				continue
+			}
+			if in.NAccum < 1 {
+				r.addf(i, "instr", "%q has accumulation depth %d < 1", in.Label, in.NAccum)
+			}
+			if in.Pattern != spec.Pattern {
+				r.addf(i, "instr", "%q uses access pattern %v; the family requires %v",
+					in.Label, in.Pattern, spec.Pattern)
+			}
+			if want := spec.CyclesFor(in.NAccum); in.Cycles != want {
+				r.addf(i, "instr", "%q at n=%d claims %d cycles; (M8A8)_nR8 timing requires %d",
+					in.Label, in.NAccum, in.Cycles, want)
+			}
+			if spec.Accumulating {
+				if want, ok := shapeAccum(in.Label, spec, op); ok && in.NAccum != want {
+					r.addf(i, "instr", "%q runs at depth n=%d; the operator shape requires n=%d",
+						in.Label, in.NAccum, want)
+				}
+			} else if in.NAccum != 1 {
+				r.addf(i, "instr", "non-accumulating %q at depth n=%d", in.Label, in.NAccum)
+			}
+			perFamily[in.Label] += in.Count
+			pr.MetaOps += in.Count
+			pr.Mults += in.Count * spec.MultsFor(in.NAccum)
 		}
 
 		if op != nil {
-			checkConservation(r, i, op, perUnit, &pr)
+			checkConservation(r, i, op, perFamily, &pr)
 			checkResources(r, i, cfg, op, ph, &pr)
 		}
 		if ph.StreamBytes < 0 {
-			r.addf(i, -1, "stream", "negative stream size %d bytes", ph.StreamBytes)
+			r.addf(i, "stream", "negative stream size %d bytes", ph.StreamBytes)
 		}
 
 		// Double-buffer window: streams are issued in program order and
 		// overlap compute; a phase whose cumulative stream outruns the
 		// no-stall compute frontier is memory-bound. That is legal (the
 		// paper's keyswitch is evk-bandwidth-bound) but worth surfacing.
-		pr.Cycles = phaseOccupancy(cfg, ph)
+		compute, transpose := sched.PhaseCycles(cfg, ph)
+		pr.Cycles = compute + transpose
 		if ph.StreamBytes > 0 && bytesPerCycle > 0 {
 			pr.StreamCycles = int64(math.Ceil(float64(ph.StreamBytes) / bytesPerCycle))
 			streamDone += pr.StreamCycles
@@ -207,58 +200,40 @@ func Check(g *trace.Graph, p *sched.Program) (*Report, error) {
 }
 
 // checkConservation holds one phase to the shared lowering: per-family
-// totals match metaop.Lower exactly, families spread across units with
-// max−min ≤ 1 (the slot partitioning's remainder rule), and the raw-mult
-// total equals the analytical lazy form of Tables 2 and 3.
-func checkConservation(r *Report, i int, op *trace.Op, perUnit map[string][]int64, pr *PhaseReport) {
+// totals match metaop.Lower exactly, and the raw-mult total equals the
+// analytical lazy form of Tables 2 and 3.
+func checkConservation(r *Report, i int, op *trace.Op, perFamily map[string]int64, pr *PhaseReport) {
 	want := map[string]int64{}
 	for _, b := range metaop.Lower(op) {
 		want[b.Label] += b.Count
 	}
-	labels := make([]string, 0, len(perUnit))
-	for l := range perUnit {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		per := perUnit[label]
-		var sum int64
-		lo, hi := int64(math.MaxInt64), int64(0)
-		for _, c := range per {
-			sum += c
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
+	for _, label := range sortedKeys(perFamily) {
 		w, ok := want[label]
-		if !ok {
-			r.addf(i, -1, "conserve", "family %q does not belong to %v %q", label, op.Kind, op.Label)
-			continue
-		}
-		if sum != w {
-			r.addf(i, -1, "conserve", "%q has %d Meta-OPs across units; lowering requires %d", label, sum, w)
-		}
-		if hi-lo > 1 {
-			r.addf(i, -1, "balance", "%q spread %d..%d per unit; slot partitioning allows max-min <= 1", label, lo, hi)
+		switch {
+		case !ok:
+			r.addf(i, "conserve", "family %q does not belong to %v %q", label, op.Kind, op.Label)
+		case perFamily[label] != w:
+			r.addf(i, "conserve", "%q has %d Meta-OPs; lowering requires %d", label, perFamily[label], w)
 		}
 		delete(want, label)
 	}
-	missing := make([]string, 0, len(want))
-	for l := range want {
-		missing = append(missing, l)
-	}
-	sort.Strings(missing)
-	for _, l := range missing {
+	for _, l := range sortedKeys(want) {
 		if want[l] > 0 {
-			r.addf(i, -1, "conserve", "family %q missing entirely (%d Meta-OPs required)", l, want[l])
+			r.addf(i, "conserve", "family %q missing entirely (%d Meta-OPs required)", l, want[l])
 		}
 	}
 	if wantM := metaop.LazyMults(op); pr.Mults != wantM {
-		r.addf(i, -1, "conserve", "%d raw mults; the Tables 2/3 lazy form requires %d", pr.Mults, wantM)
+		r.addf(i, "conserve", "%d raw mults; the Tables 2/3 lazy form requires %d", pr.Mults, wantM)
 	}
+}
+
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // checkResources holds one phase to the scratchpad, stream and transpose
@@ -273,18 +248,18 @@ func checkResources(r *Report, i int, cfg arch.Config, op *trace.Op, ph *sched.P
 	bits := int64(cfg.SlotsPerUnit(op.N)) * int64(ch) * int64(op.Polys) * int64(cfg.WordBits)
 	pr.ScratchpadBytes = (bits + 7) / 8
 	if pr.ScratchpadBytes > cfg.LocalScratchpadBytes {
-		r.addf(i, -1, "scratchpad", "operand tile needs %d B per unit; the private scratchpad holds %d B",
+		r.addf(i, "scratchpad", "operand tile needs %d B per unit; the private scratchpad holds %d B",
 			pr.ScratchpadBytes, cfg.LocalScratchpadBytes)
 	}
 	if ph.StreamBytes != op.StreamBytes {
-		r.addf(i, -1, "stream", "streams %d bytes; the op streams %d", ph.StreamBytes, op.StreamBytes)
+		r.addf(i, "stream", "streams %d bytes; the op streams %d", ph.StreamBytes, op.StreamBytes)
 	}
 	var wantT int64
 	if (op.Kind == trace.KindNTT || op.Kind == trace.KindINTT) && !op.Local && op.N > cfg.Units {
 		wantT = int64(op.N) * int64(op.Channels) * int64(op.Polys)
 	}
 	if ph.TransposeElems != wantT {
-		r.addf(i, -1, "transpose", "moves %d elements through the transpose file; the 4-step shape requires %d",
+		r.addf(i, "transpose", "moves %d elements through the transpose file; the 4-step shape requires %d",
 			ph.TransposeElems, wantT)
 	}
 }
@@ -307,37 +282,6 @@ func shapeAccum(label string, spec metaop.Spec, op *trace.Op) (int, bool) {
 		return op.Dnum, true
 	}
 	return 0, false
-}
-
-// phaseOccupancy replays the per-unit timing model of sched.Execute for one
-// phase (longest unit stream plus the transpose crossing), used only for
-// the informational stream-window classification.
-func phaseOccupancy(cfg arch.Config, ph *sched.Phase) int64 {
-	cores := int64(cfg.CoresPerUnit)
-	var longest int64
-	for u := range ph.Units {
-		var t int64
-		for _, in := range ph.Units[u].Instrs {
-			if in.Count < 1 {
-				continue
-			}
-			rounds := (in.Count + cores - 1) / cores
-			dt := rounds * int64(in.Cycles)
-			eff := metaop.PatternEfficiency[in.Pattern]
-			if eff <= 0 || eff > 1 {
-				eff = 1
-			}
-			t += int64(math.Ceil(float64(dt) / eff))
-		}
-		if t > longest {
-			longest = t
-		}
-	}
-	if ph.TransposeElems > 0 && cfg.TransposeLanesPerCycle > 0 {
-		longest += (ph.TransposeElems + int64(cfg.TransposeLanesPerCycle) - 1) /
-			int64(cfg.TransposeLanesPerCycle)
-	}
-	return longest
 }
 
 func equalInts(a, b []int) bool {

@@ -9,7 +9,6 @@ import (
 	"alchemist/internal/arch"
 	"alchemist/internal/errs"
 	"alchemist/internal/sched"
-	"alchemist/internal/sim"
 	"alchemist/internal/streamcheck"
 	"alchemist/internal/trace"
 	"alchemist/internal/workload"
@@ -121,42 +120,6 @@ func TestScratchpadOverflowWrapsSentinel(t *testing.T) {
 	}
 	if !errors.Is(err, errs.ErrIllegalStream) {
 		t.Errorf("error %v does not wrap ErrIllegalStream", err)
-	}
-}
-
-// TestCompileGate: with the gate installed, sched.Compile itself rejects a
-// configuration that produces an illegal program.
-func TestCompileGate(t *testing.T) {
-	streamcheck.InstallCompileGate()
-	t.Cleanup(streamcheck.UninstallCompileGate)
-
-	g := workload.Pmult(workload.PaperShape())
-	if _, err := sched.Compile(arch.Default(), g); err != nil {
-		t.Fatalf("gated compile of a legal program: %v", err)
-	}
-	bad := arch.Default()
-	bad.LocalScratchpadBytes = 1024
-	_, err := sched.Compile(bad, g)
-	if !errors.Is(err, errs.ErrIllegalStream) {
-		t.Errorf("gated compile error %v does not wrap ErrIllegalStream", err)
-	}
-}
-
-// TestSimGate: with the gate installed, sim.Simulate verifies the compiled
-// streams before the timing model runs.
-func TestSimGate(t *testing.T) {
-	streamcheck.InstallSimGate()
-	t.Cleanup(streamcheck.UninstallSimGate)
-
-	g := workload.Pmult(workload.PaperShape())
-	if _, err := sim.Simulate(arch.Default(), g); err != nil {
-		t.Fatalf("gated simulate of a legal program: %v", err)
-	}
-	bad := arch.Default()
-	bad.LocalScratchpadBytes = 1024
-	_, err := sim.Simulate(bad, g)
-	if !errors.Is(err, errs.ErrIllegalStream) {
-		t.Errorf("gated simulate error %v does not wrap ErrIllegalStream", err)
 	}
 }
 
