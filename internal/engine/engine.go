@@ -346,9 +346,8 @@ func run(ctx context.Context, job Job, cfg config, hits, misses *atomic.Int64) R
 		case o := <-done:
 			res.Sim, res.Baseline, res.Err = o.sim, o.base, o.err
 		case <-ctx.Done():
-			res.Err = fmt.Errorf("engine: %w", wrapCtxErr(ctx.Err()))
 		}
-		return finish(res)
+		return finish(expired(ctx, res))
 	}
 
 	e, leader := cfg.cache.acquire(cacheKey(job, cfg.verify))
@@ -370,9 +369,19 @@ func run(ctx context.Context, job Job, cfg config, hits, misses *atomic.Int64) R
 		res.Sim, res.Baseline, res.Err = e.outcome.sim, e.outcome.base, e.outcome.err
 		res.Cached = !leader
 	case <-ctx.Done():
-		res.Err = fmt.Errorf("engine: %w", wrapCtxErr(ctx.Err()))
 	}
-	return finish(res)
+	return finish(expired(ctx, res))
+}
+
+// expired replaces res with the context's error once ctx is done. When the
+// outcome and the deadline are ready together, select picks either case at
+// random; checking ctx afterwards makes an expired budget a timeout every
+// time, not only when the computation is still running.
+func expired(ctx context.Context, res Result) Result {
+	if err := ctx.Err(); err != nil {
+		return Result{Job: res.Job, Err: fmt.Errorf("engine: %w", wrapCtxErr(err))}
+	}
+	return res
 }
 
 // outcome is the model-layer result of one computation, independent of the
