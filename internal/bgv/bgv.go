@@ -185,39 +185,6 @@ type (
 // t-scaled error distributions.
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
-	secret, noise := samplers(rng, ctx.Params.Sigma)
+	secret, noise := rlwe.Samplers(rng, ctx.Params.Sigma)
 	return rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise)
-}
-
-// samplers returns BGV's secret (uniform ternary) and error (truncated
-// Gaussian of deviation sigma) distributions over rng: the pair both key
-// generation and encryption draw from. The core scales the errors by t.
-func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
-	return func(dst []int64) { signedTernary(rng, dst) },
-		func(dst []int64) { gaussian(rng, dst, sigma) }
-}
-
-func signedTernary(rng prng.Source, v []int64) {
-	for i := range v {
-		switch rng.Intn(3) {
-		case 0:
-			v[i] = 1
-		case 1:
-			v[i] = -1
-		default:
-			v[i] = 0
-		}
-	}
-}
-
-func gaussian(rng prng.Source, v []int64, sigma float64) {
-	for i := range v {
-		x := rng.NormFloat64() * sigma
-		if x > 19 {
-			x = 19
-		} else if x < -19 {
-			x = -19
-		}
-		v[i] = int64(x)
-	}
 }

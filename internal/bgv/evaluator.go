@@ -20,7 +20,7 @@ type Encryptor struct {
 // NewEncryptor returns an encryptor with deterministic randomness, drawing
 // from the distributions the key generator uses.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
-	secret, noise := samplers(prng.New(seed), ctx.Params.Sigma)
+	secret, noise := rlwe.Samplers(prng.New(seed), ctx.Params.Sigma)
 	return &Encryptor{enc: rlwe.NewEncryptor(ctx.Context, pk, secret, noise)}
 }
 

@@ -75,20 +75,20 @@ func TestSchemeOutputsGolden(t *testing.T) {
 	got["rescale"] = hashCiphertext(t, rs)
 
 	want := map[string]string{
-		"relin-key":    "7311c10c7b671bcf84cf627dd1503fb3f05b8ef24e40cbc8bc133072b058b2d5",
-		"galois-key":   "14fa759670788cbdae75f212d771e1ed89e922e2671c0b908b6768ca784251a8",
-		"mulrelin":     "86ec880bae6973d84b91cb39f2f4ddc9b44412c1691790fbe550335cc93b3189",
-		"apply-galois": "6b04d3ff6e8fd2627227da4aa5a302fa452648ce0d2aecb05af15b750921f140",
-		"bfv-mulrelin": "f7b4def85266ae56887c1ab70f35b1aa243ff9b1932dee1a6afdd4ed929bac35",
-		"encrypt":      "1ba27f79dd438ac16bbe3d93dcdfb8252db834ed64cc57c783f1aca786961215",
-		"add":          "e547d86d5715e3434cd90d8c34df9c30dfedd03451136f998d955fd08f238bd4",
-		"sub":          "55dea7492f7860ae0c30cef5f1cd84c55fc927e07dcaaac5448aa97b57452319",
-		"mulplain":     "287b6ed3abaa29a214ec7590540653705a019d2d5219bfe95873f09ffb5495ec",
-		"decrypt-poly": "ecf0f952fa27fc3d46683bc3c9b9b2a4554e1e611d621497fbf5f4621bb28c00",
-		"bfv-encrypt":  "4d8ff71c285bbd3c2c63704b360064b48296716d740da169042c5265ca41e3fc",
-		"bfv-add":      "2504fc52d62426df3bf1327e083021009da0a20629a6593c20247b220b60dc72",
-		"bfv-mulplain": "20e696ec806bc094a1c9c700ca64c880f03a15fe12b67b237520ae0837f10ac5",
-		"rescale":      "4689c1b8f039df6a18806e1f38a58040c6f13c8605bd6572778cc9b644057714",
+		"relin-key":    "b77ebbc52162b25a7fe28a908ce3a85a3b6097adc67a2d75d6f16879dc669132",
+		"galois-key":   "9deb61b77c298bd4d3cb0b9c277edc283034ae7257521d6ce9a907978df74811",
+		"mulrelin":     "486ca85bed7c2e97e7eaad882215d330c41683912b7d40cfe57f10a2e6db0cd8",
+		"apply-galois": "eb3472cf7c658507ecf1dbb982d70bb6516d98bedb29ee5d1dfcddaf281f0774",
+		"bfv-mulrelin": "7455fefb83b457ad29070b12371cd915ae4c55d7aad83863cecd4ebe93c5e195",
+		"encrypt":      "3871a174a2b87836c4230f9c66153c919568e166ba8da5c92d00f8057074b943",
+		"add":          "8edfeb59332a4420d46a0d273cfb3eaf3926cfd70cd63213b9c3f0b288d672f8",
+		"sub":          "299e26d924aab9601b550c85a36d7835729bd01d1141ec3e7a2827e50df6ca03",
+		"mulplain":     "d2e0b7dabd1f4a752e8649fc0e962d81b6a3f33e2897b1203e7c4cd7b8004340",
+		"decrypt-poly": "1caf15b90228bd1bc10287dedc075390e5407968c7a7dd813bf023c2c9fd2674",
+		"bfv-encrypt":  "7e0a3cbd8c71f50c05a6ea96b73179e1b1f074a0989e2da4144cda334cb19b69",
+		"bfv-add":      "33051b1d6f9d2bddecdc20295e2952fa83a9c5dc16b93c98c6a53a5545c6ed75",
+		"bfv-mulplain": "c517605486236248e52ee9927ab0bafea9e17a9e346934e65786df3934d5cf1a",
+		"rescale":      "b45250bc54ae183308009afe80cc5b1e527845ab141e704ab322457a63d640fc",
 	}
 	for name, w := range want {
 		if got[name] != w {

@@ -36,52 +36,11 @@ type KeyGenerator struct {
 // randomness; see Sampler).
 func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	rng := prng.New(seed)
-	secret, noise := samplers(rng, ctx.Params.Sigma)
+	secret, noise := rlwe.Samplers(rng, ctx.Params.Sigma)
 	return &KeyGenerator{
 		KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, rng, secret, noise),
 		ctx:          ctx,
 		rng:          rng,
-	}
-}
-
-// samplers returns CKKS's secret (ternary, density 2/3) and error (rounded
-// Gaussian of deviation sigma) distributions over rng: the pair both key
-// generation and encryption draw from.
-func samplers(rng prng.Source, sigma float64) (secret, noise rlwe.Sampler) {
-	return func(dst []int64) { signedTernary(rng, dst, 2.0/3.0) },
-		func(dst []int64) { signedGaussian(rng, dst, sigma) }
-}
-
-// signedTernary fills v from {-1,0,1} with the given density.
-func signedTernary(rng prng.Source, v []int64, density float64) {
-	for i := range v {
-		u := rng.Float64()
-		switch {
-		case u < density/2:
-			v[i] = 1
-		case u < density:
-			v[i] = -1
-		default:
-			v[i] = 0
-		}
-	}
-}
-
-// signedGaussian fills v with rounded Gaussians of deviation sigma, clamped
-// to ±6σ.
-func signedGaussian(rng prng.Source, v []int64, sigma float64) {
-	for i := range v {
-		x := rng.NormFloat64() * sigma
-		switch {
-		case x > 6*sigma:
-			x = 6 * sigma
-		case x < -6*sigma:
-			x = -6 * sigma
-		}
-		v[i] = int64(x + 0.5)
-		if x < 0 {
-			v[i] = -int64(-x + 0.5)
-		}
 	}
 }
 
