@@ -2,28 +2,29 @@ package bgv
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
 
 	"alchemist/internal/modmath"
+	"alchemist/internal/oracle"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
 	"alchemist/internal/rlwe"
 )
 
-// oracle is the BGV division pair the core's t-scaled kernels replaced, kept
-// as their independent reference: ModDown by an exact centered conversion
-// of the P half into [t, Q] plus the Gentry–Halevi–Smart correction, and
-// the per-coefficient scalar modulus switch. Both subtract a residue δ with
-// δ ≡ x (mod D) and δ ≡ 0 (mod t), but a different one from the kernels', so
-// outputs agree up to a small multiple of t per coefficient.
-type oracle struct {
+// gshOracle is the BGV division pair the core's t-scaled kernels replaced,
+// kept as their independent reference: ModDown by the big-int CRT of the P
+// half, centered and read in [t, Q], plus the Gentry–Halevi–Smart
+// correction, and the per-coefficient scalar modulus switch. Both subtract a
+// residue δ with δ ≡ x (mod D) and δ ≡ 0 (mod t), but a different one from
+// the kernels', so outputs agree up to a small multiple of t per coefficient.
+type gshOracle struct {
 	ctx   *Context
-	pToQT *ring.BasisConverter // P → [t, q_0, q_1, …]
-	pInvQ []uint64             // P^{-1} mod q_i
+	pInvQ []uint64 // P^{-1} mod q_i
 }
 
-func newOracle(ctx *Context) *oracle {
-	o := &oracle{ctx: ctx, pToQT: ring.NewBasisConverter(ctx.Params.P, append([]uint64{ctx.Params.T}, ctx.Params.Q...))}
+func newGSHOracle(ctx *Context) *gshOracle {
+	o := &gshOracle{ctx: ctx}
 	for i, qi := range ctx.Params.Q {
 		o.pInvQ = append(o.pInvQ, modmath.InvMod(ctx.PModQ[i], qi))
 	}
@@ -31,24 +32,19 @@ func newOracle(ctx *Context) *oracle {
 }
 
 // modDown divides an accumulator over Q·P by P: the subtracted
-// δ = centered([x]_P) + P·w with w ≡ -[x]_P (mod t), so δ ≡ 0 (mod t)
-// (P ≡ 1 mod t) and the noise grows by at most t.
-func (o *oracle) modDown(level int, aQ, aP, out *ring.Poly) {
+// δ = centered([x]_P) + P·w with w ≡ -centered([x]_P) (mod t), so
+// δ ≡ 0 (mod t) (P ≡ 1 mod t) and the noise grows by at most t.
+func (o *gshOracle) modDown(level int, aQ, aP, out *ring.Poly) {
 	ctx := o.ctx
-	n, t := ctx.Params.N(), ctx.Params.T
-	conv := make([][]uint64, level+2)
-	for i := range conv {
-		conv[i] = make([]uint64, n)
+	t := ctx.Params.T
+	mod := func(x *big.Int, m uint64) uint64 { // Euclidean: [0, m)
+		return new(big.Int).Mod(x, new(big.Int).SetUint64(m)).Uint64()
 	}
-	o.pToQT.ConvertExact(len(ctx.Params.P)-1, aP.Coeffs, conv, level+2, true)
-	w := make([]uint64, n)
-	for k := range w {
-		w[k] = modmath.NegMod(conv[0][k], t)
-	}
-	for i := 0; i <= level; i++ {
-		qi := ctx.RQ.Moduli[i]
-		for k := 0; k < n; k++ {
-			delta := modmath.AddMod(conv[i+1][k], modmath.MulMod(w[k], ctx.PModQ[i], qi), qi)
+	for k, x := range oracle.Centered(ctx.RP, ctx.RP.MaxLevel(), aP) {
+		w := modmath.NegMod(mod(x, t), t)
+		for i := 0; i <= level; i++ {
+			qi := ctx.RQ.Moduli[i]
+			delta := modmath.AddMod(mod(x, qi), modmath.MulMod(w, ctx.PModQ[i], qi), qi)
 			out.Coeffs[i][k] = modmath.MulMod(modmath.SubMod(aQ.Coeffs[i][k], delta, qi), o.pInvQ[i], qi)
 		}
 	}
@@ -57,7 +53,7 @@ func (o *oracle) modDown(level int, aQ, aP, out *ring.Poly) {
 // rescale divides in (levels 0..level) by q_level: the subtracted
 // δ = centered([x]_{q_l}) + q_l·w with w ≡ -centered([x]_{q_l}) (mod t).
 // δ is formed per channel, so no width of q_l overflows it.
-func (o *oracle) rescale(level int, in, out *ring.Poly) {
+func (o *gshOracle) rescale(level int, in, out *ring.Poly) {
 	ctx := o.ctx
 	t := int64(ctx.Params.T)
 	ql := ctx.RQ.Moduli[level]
@@ -127,7 +123,7 @@ func TestModDownMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := newOracle(ctx)
+			o := newGSHOracle(ctx)
 			dt := NewDecryptor(ctx, NewKeyGenerator(ctx, 1).GenSecretKey())
 			rq, rp := ctx.RQ, ctx.RP
 			maxK := int64(len(params.P)) + 1
@@ -158,7 +154,7 @@ func TestRescaleMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := newOracle(ctx)
+			o := newGSHOracle(ctx)
 			kg := NewKeyGenerator(ctx, 2)
 			sk := kg.GenSecretKey()
 			dt := NewDecryptor(ctx, sk)

@@ -164,38 +164,3 @@ func bitReverseComplex(v []complex128) {
 		}
 	}
 }
-
-// decodeDirect is the O(n·N) reference decode used to validate the FFT
-// network: z_k = (1/scale) · m(ζ^(5^k)) with centered coefficients.
-func (e *Encoder) decodeDirect(p *ring.Poly, level int, scale float64) []complex128 {
-	nCoeffs := 2 * e.n
-	coeffs := make([]float64, nCoeffs)
-	e.ctx.RQ.CRT(level).Float64s(p, coeffs)
-	out := make([]complex128, e.n)
-	for k := 0; k < e.n; k++ {
-		pk := e.rotGroup[k]
-		var acc complex128
-		for j := 0; j < nCoeffs; j++ {
-			acc += complex(coeffs[j], 0) * e.roots[(j*pk)%e.m]
-		}
-		out[k] = acc / complex(scale, 0)
-	}
-	return out
-}
-
-// encodeDirect is the O(n·N) reference encode:
-// m_j = round((2·scale/N) · Re( Σ_k z_k · ζ^(-j·5^k) )).
-func (e *Encoder) encodeDirect(values []complex128, level int, scale float64) *ring.Poly {
-	nCoeffs := 2 * e.n
-	p := e.ctx.RQ.NewPoly(level)
-	for j := 0; j < nCoeffs; j++ {
-		var acc complex128
-		for k := 0; k < e.n && k < len(values); k++ {
-			pk := e.rotGroup[k]
-			acc += values[k] * e.roots[(e.m-(j*pk)%e.m)%e.m]
-		}
-		v := math.Round(real(acc) * scale / float64(e.n))
-		setCoeff(e.ctx.RQ, p, j, v, level)
-	}
-	return p
-}

@@ -4,6 +4,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"alchemist/internal/oracle"
 	"alchemist/internal/prng"
 	"alchemist/internal/rlwe"
 )
@@ -230,11 +231,11 @@ func TestKeySwitchContract(t *testing.T) {
 	ksB, ksA := h.ev.KeySwitchFused(level, c, swk)
 	// got = B + A·s.
 	got := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, ksA, h.sk.Q, got)
+	oracle.MulPoly(ctx.RQ, level, ksA, h.sk.Q, got)
 	ctx.RQ.Add(level, got, ksB, got)
 	// want = c·s'.
 	want := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, c, sk2.Q, want)
+	oracle.MulPoly(ctx.RQ, level, c, sk2.Q, want)
 
 	// Compare with a noise tolerance: the difference must be tiny relative
 	// to q (decrypted difference coefficients are small integers).

@@ -2,7 +2,7 @@
 // analyzer built on the stdlib go/ast, go/parser and go/types packages (no
 // external module dependencies). It enforces the invariants ordinary go vet
 // cannot see — the arithmetic discipline (no raw % where the precomputed
-// Barrett/Montgomery/Shoup reducers belong), the randomness discipline (no
+// Barrett/Shoup reducers belong), the randomness discipline (no
 // math/rand in scheme packages), the provenance of the paper's architecture
 // constants (128 units × 16 cores stay defined in internal/arch), and the
 // panic discipline for exported library entry points.

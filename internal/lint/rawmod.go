@@ -10,7 +10,7 @@ import (
 // RawMod implements the no-raw-mod rule: in the hot-path kernel package
 // (internal/ring) and in any package that already imports internal/modmath,
 // a binary % on uint64 operands is a discipline violation — the precomputed
-// Barrett/Montgomery/Shoup reducers exist precisely so the inner loops never
+// Barrett/Shoup reducers exist precisely so the inner loops never
 // pay for a hardware divide, and the Meta-OP cost model (3 raw mults per
 // modular mult) assumes they are used. Power-of-two constant divisors are
 // exempt (they compile to a mask), as is internal/modmath itself, which is
@@ -77,7 +77,7 @@ func (r *RawMod) checkSite(p *Package, x, y ast.Expr, opPos token.Pos, report fu
 		Pos:  p.Fset.Position(opPos),
 		Rule: r.Name(),
 		Msg:  "raw % on uint64 operands in hot-path package " + p.PkgPath,
-		Hint: "use modmath.Barrett/Montgomery/MulModShoup, SubRing.ReduceWord or modmath.ReduceSigned, or annotate //alchemist:allow raw-mod <reason>",
+		Hint: "use modmath.Barrett/MulModShoup, SubRing.ReduceWord or modmath.ReduceSigned, or annotate //alchemist:allow raw-mod <reason>",
 	})
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Edge-modulus coverage: the RNS bases used at production scale sit just
-// below the 2^62 Barrett/Montgomery bound, so the reduction paths and CRT
+// below the 2^62 Barrett bound, so the reduction paths and CRT
 // round-trips are exercised right at that boundary.
 
 // primesNear62 are NTT-friendly primes q ≡ 1 (mod 2^15) just below 2^61 —
@@ -64,19 +64,6 @@ func TestCRTReconstructLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	CRTReconstruct([]uint64{1, 2}, []uint64{97})
-}
-
-func TestMontgomeryRejectsEvenModulus(t *testing.T) {
-	for _, q := range []uint64{2, 4, 1 << 20, (1 << 61) + 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewMontgomery(%d) did not panic", q)
-				}
-			}()
-			NewMontgomery(q)
-		}()
-	}
 }
 
 func TestBarrettRejectsOutOfRangeModulus(t *testing.T) {

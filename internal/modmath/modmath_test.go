@@ -83,31 +83,6 @@ func TestBarrettMatchesMulMod(t *testing.T) {
 	}
 }
 
-func TestMontgomeryMatchesMulMod(t *testing.T) {
-	for _, q := range testPrimes {
-		if q&1 == 0 {
-			continue
-		}
-		mt := NewMontgomery(q)
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 2000; i++ {
-			a := rng.Uint64() % q
-			b := rng.Uint64() % q
-			am, bm := mt.ToMont(a), mt.ToMont(b)
-			got := mt.FromMont(mt.MulMod(am, bm))
-			if want := MulMod(a, b, q); got != want {
-				t.Fatalf("q=%d Montgomery(%d,%d)=%d want %d", q, a, b, got, want)
-			}
-		}
-		// Round-trip.
-		for _, a := range []uint64{0, 1, 2, q - 2, q - 1} {
-			if got := mt.FromMont(mt.ToMont(a)); got != a {
-				t.Fatalf("q=%d Montgomery round-trip %d -> %d", q, a, got)
-			}
-		}
-	}
-}
-
 func TestShoupMatchesMulMod(t *testing.T) {
 	for _, q := range testPrimes {
 		rng := rand.New(rand.NewSource(5))
@@ -282,14 +257,10 @@ func TestQuickRingAxioms(t *testing.T) {
 func TestQuickBarrettMontgomeryShoupAgree(t *testing.T) {
 	for _, q := range []uint64{testPrimes[2], testPrimes[4]} {
 		br := NewBarrett(q)
-		mt := NewMontgomery(q)
 		f := func(a, w uint64) bool {
 			a, w = a%q, w%q
 			want := MulMod(a, w, q)
 			if br.MulMod(a, w) != want {
-				return false
-			}
-			if mt.FromMont(mt.MulMod(mt.ToMont(a), mt.ToMont(w))) != want {
 				return false
 			}
 			return MulModShoup(a, w, ShoupPrecomp(w, q), q) == want

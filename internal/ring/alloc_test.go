@@ -144,23 +144,6 @@ func TestRescaleAllocFree(t *testing.T) {
 	}
 }
 
-func TestMulPolyAllocFree(t *testing.T) {
-	rq, _ := allocRings(t)
-	level := rq.MaxLevel()
-	a := rq.NewPoly(level)
-	b := rq.NewPoly(level)
-	out := rq.NewPoly(level)
-	s := newUniformSampler(rq, 5)
-	s.Uniform(level, a)
-	s.Uniform(level, b)
-	rq.MulPoly(level, a, b, out) // warm
-	if n := testing.AllocsPerRun(20, func() {
-		rq.MulPoly(level, a, b, out)
-	}); n != 0 {
-		t.Errorf("warm MulPoly allocates %.1f per op, want 0", n)
-	}
-}
-
 func TestMulCoeffsShoupAllocFree(t *testing.T) {
 	rq, _ := allocRings(t)
 	level := rq.MaxLevel()

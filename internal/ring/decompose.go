@@ -412,7 +412,7 @@ func (d *Decomposer) GroupRange(g, level int) (lo, hi int) {
 // domain, levels 0..level): for each active group g, dQ[g] receives the digit
 // extended to the first level+1 Q channels and dP[g] the digit extended to
 // the whole P basis. Output is byte-identical to the eager per-group
-// ConvertN/Convert pair.
+// pair of ConvertN calls.
 //
 //alchemist:hot
 func (d *Decomposer) DecomposeAll(level int, c *Poly, dQ, dP []*Poly) {

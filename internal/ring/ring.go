@@ -296,23 +296,6 @@ func (r *Ring) MulScalarBig(level int, a *Poly, c *big.Int, out *Poly) {
 	}
 }
 
-// MulPoly computes out = a·b in R_q at levels 0..level via NTT, leaving all
-// arguments in the coefficient domain. Convenience wrapper used in tests and
-// reference paths; scratch comes from the ring arena.
-func (r *Ring) MulPoly(level int, a, b, out *Poly) {
-	an := r.Borrow(level)
-	bn := r.Borrow(level)
-	r.CopyLevel(level, a, an)
-	r.CopyLevel(level, b, bn)
-	r.NTT(level, an)
-	r.NTT(level, bn)
-	r.MulCoeffs(level, an, bn, an)
-	r.INTT(level, an)
-	r.CopyLevel(level, an, out)
-	r.Release(an)
-	r.Release(bn)
-}
-
 // PolyToBigCoeffs reconstructs coefficient j of p (levels 0..level) over the
 // full modulus via CRT. Reference path for tests.
 func (r *Ring) PolyToBigCoeffs(level int, p *Poly) []*big.Int {

@@ -27,12 +27,10 @@ type BasisConverter struct {
 	// qiHat[l][i][j] = (Q_l/q_i) mod p_j.
 	qiHat      [][][]uint64
 	qiHatShoup [][][]uint64
-	// qModP[l][j] = Q_l mod p_j, lazily built for ConvertExact.
-	qModP [][]uint64
 	// dstRed[j] is the Barrett state for p_j, used to fold source-channel
 	// residues into the target channel without a raw %.
 	dstRed []modmath.Barrett
-	// scratch recycles the per-block y_i buffers of ConvertN/ConvertExact.
+	// scratch recycles the per-block y_i buffers of ConvertN.
 	scratch BufPool
 	// lazyCap bounds the unreduced term count of the lazy step-2 accumulation
 	// (decompose.go): the largest m with m·q_src ≤ 2^64 over all source
@@ -67,7 +65,7 @@ func NewBasisConverter(src, dst []uint64) *BasisConverter {
 // multiplies by (t·q̂_i)^{-1} and step 2 by t·q̂_i, so the output is
 // t·Bconv([t^{-1}·x]_src) — the t-scaled conversion ModDown runs on — at the
 // cost of the plain one. t = 1 gives the plain tables; t must be invertible
-// modulo every source modulus. ConvertExact assumes the plain tables.
+// modulo every source modulus.
 func newBasisConverter(src, dst []uint64, t uint64) *BasisConverter {
 	L := len(src)
 	bc := &BasisConverter{
@@ -142,15 +140,11 @@ func newBasisConverter(src, dst []uint64, t uint64) *BasisConverter {
 // call concurrently with running conversions.
 func (bc *BasisConverter) BindScheduler(r *Ring) { bc.host = r }
 
-// Convert performs the basis conversion for every coefficient. in holds
-// srcLevel+1 channels over the source moduli (coefficient domain); out must
-// hold len(Dst) channels. Channels are independent slices of equal length.
-func (bc *BasisConverter) Convert(srcLevel int, in, out [][]uint64) {
-	bc.ConvertN(srcLevel, in, out, len(bc.Dst))
-}
-
-// ConvertN is Convert restricted to the first nDst target channels; the
-// hybrid key switch uses it to skip target moduli above the working level.
+// ConvertN performs the basis conversion of every coefficient into the
+// first nDst target channels; the hybrid key switch uses nDst to skip target
+// moduli above the working level. in holds srcLevel+1 channels over the
+// source moduli (coefficient domain); out must hold at least nDst channels.
+// Channels are independent slices of equal length.
 // The conversion is tiled over convBlock coefficients (scratch from the
 // converter's arena, no per-call allocation) and produces coefficients
 // byte-identical to the untiled reference formula.
@@ -307,7 +301,7 @@ func NewExtender(rQ, rP *Ring, t uint64) *Extender {
 // ModUp implements eq. (2): extends a (levels 0..level over Q, coefficient
 // domain) with K channels over P, writing them into outP (a P-basis poly).
 // It runs on the lazy conversion kernel (byte-identical to the eager
-// reference Convert, which tests cross-check it against).
+// ConvertN, which tests cross-check it against).
 func (e *Extender) ModUp(level int, a *Poly, outP *Poly) {
 	e.qToP.ConvertLazyN(level, a.Coeffs[:level+1], outP.Coeffs, len(e.qToP.Dst))
 }

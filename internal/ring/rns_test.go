@@ -90,7 +90,7 @@ func TestDualConverterMatchesEager(t *testing.T) {
 				eagerQ, lazyQ := mk2d(len(q), n), mk2d(len(q), n)
 				eagerP, lazyP := mk2d(len(p), n), mk2d(len(p), n)
 				toQ.ConvertN(srcLevel, in, eagerQ, nQ)
-				toP.Convert(srcLevel, in, eagerP)
+				toP.ConvertN(srcLevel, in, eagerP, len(p))
 				dc.ConvertBoth(srcLevel, in, lazyQ, lazyP, nQ)
 				for j := 0; j < nQ; j++ {
 					for k := 0; k < n; k++ {

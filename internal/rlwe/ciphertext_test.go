@@ -11,6 +11,7 @@ import (
 	"alchemist/internal/bgv"
 	"alchemist/internal/ckks"
 	"alchemist/internal/modmath"
+	"alchemist/internal/oracle"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
 	"alchemist/internal/rlwe"
@@ -34,8 +35,8 @@ func TestMulPlainMatchesMulPoly(t *testing.T) {
 				ct := rlwe.Ciphertext{B: rlwe.UniformPoly(rng, rq, level), A: rlwe.UniformPoly(rng, rq, level), Level: level}
 				got := ev.MulPlain(&ct, pt)
 				wantB, wantA := rq.NewPoly(level), rq.NewPoly(level)
-				rq.MulPoly(level, ct.B, pt, wantB)
-				rq.MulPoly(level, ct.A, pt, wantA)
+				oracle.MulPoly(rq, level, ct.B, pt, wantB)
+				oracle.MulPoly(rq, level, ct.A, pt, wantA)
 				if got.Level != level || !rq.Equal(level, got.B, wantB) || !rq.Equal(level, got.A, wantA) {
 					t.Fatalf("level %d: MulPlain differs from the two-MulPoly product", level)
 				}
@@ -73,8 +74,8 @@ func oracleEncrypt(ctx *rlwe.Context, pk *rlwe.PublicKey, secret, noise rlwe.Sam
 	e0 := draw(noise, t)
 	e1 := draw(noise, t)
 	ct := rlwe.Ciphertext{B: rq.NewPoly(level), A: rq.NewPoly(level), Level: level}
-	rq.MulPoly(level, pk.B, u, ct.B)
-	rq.MulPoly(level, pk.A, u, ct.A)
+	oracle.MulPoly(rq, level, pk.B, u, ct.B)
+	oracle.MulPoly(rq, level, pk.A, u, ct.A)
 	rq.Add(level, ct.B, e0, ct.B)
 	rq.Add(level, ct.B, pt, ct.B)
 	rq.Add(level, ct.A, e1, ct.A)
@@ -86,7 +87,7 @@ func oracleEncrypt(ctx *rlwe.Context, pk *rlwe.PublicKey, secret, noise rlwe.Sam
 func oracleDecryptPoly(ctx *rlwe.Context, sk *rlwe.SecretKey, ct *rlwe.Ciphertext) *ring.Poly {
 	rq := ctx.RQ
 	out := rq.NewPoly(ct.Level)
-	rq.MulPoly(ct.Level, ct.A, sk.Q, out)
+	oracle.MulPoly(rq, ct.Level, ct.A, sk.Q, out)
 	rq.Add(ct.Level, out, ct.B, out)
 	return out
 }

@@ -38,7 +38,7 @@ func referenceKeySwitch(ctx *rlwe.Context, level int, c *ring.Poly, swk *rlwe.Sw
 		// conversion is exact on the group's own channels (the overshoot
 		// u·D_g vanishes mod q_i | D_g), so converting everywhere is safe.
 		ctx.Dec.Groups[g].ToQ.ConvertN(hi-lo-1, digits, dQ.Coeffs, level+1)
-		ctx.Dec.Groups[g].ToP.Convert(hi-lo-1, digits, dP.Coeffs)
+		ctx.Dec.Groups[g].ToP.ConvertN(hi-lo-1, digits, dP.Coeffs, len(ctx.Dec.Groups[g].ToP.Dst))
 		rq.NTT(level, dQ)
 		rp.NTT(levelP, dP)
 		rq.MulCoeffsAndAdd(level, dQ, swk.BQ[g], accBQ)
