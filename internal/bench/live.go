@@ -540,19 +540,6 @@ func (s *LiveSuite) WriteJSON(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// ReadLiveSuite loads a previously written capture.
-func ReadLiveSuite(path string) (*LiveSuite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s LiveSuite
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	return &s, nil
-}
-
 // Compare renders a speedup table of s (new) against base (old), matched by
 // benchmark name. Names present on only one side are listed separately.
 func (s *LiveSuite) Compare(base *LiveSuite) *Report {

@@ -137,23 +137,6 @@ func TestParams() Parameters {
 	return p
 }
 
-// PaperParams returns the evaluation parameter descriptor used in the
-// paper's Table 7 and Figure 6 (following SHARP): N = 2^16, L = 44 with
-// 36-bit words, dnum = 4, K = 12 special moduli. It describes workload
-// shapes for the accelerator model; instantiating the ring at this size is
-// possible but expensive and not needed for cycle simulation.
-func PaperParams() Parameters {
-	q := make([]uint64, 45) // q_0 … q_44 (L = 44)
-	for i := range q {
-		q[i] = 1 // placeholder values: descriptor only
-	}
-	p := make([]uint64, 12)
-	for i := range p {
-		p[i] = 1
-	}
-	return Parameters{LogN: 16, Q: q, P: p, Scale: math.Exp2(36), Dnum: 4, Sigma: 3.2}
-}
-
 // Context carries the shared RLWE core (rings, converters, keyswitch
 // tables; see internal/rlwe) for a CKKS parameter set.
 type Context struct {

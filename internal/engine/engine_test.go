@@ -222,7 +222,7 @@ func TestStatsCounters(t *testing.T) {
 // goroutines submitting against a small pool while the sweep is canceled
 // midway. Every submission must still deliver exactly one result.
 func TestConcurrentSubmitsAndCancellation(t *testing.T) {
-	e := New(WithWorkers(2), WithQueueDepth(4))
+	e := New(WithWorkers(2))
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := workload.PaperShape()

@@ -18,9 +18,9 @@ import (
 // graph instead.
 //
 // The borrow/release vocabulary is the arena naming convention itself: a
-// method call whose name begins with Borrow/borrow (or is Scratch) yields a
-// pooled value; a method call whose name begins with Release/release
-// consumes one. For every function in the kernel packages the rule proves:
+// method call whose name begins with Borrow/borrow yields a pooled value; a
+// method call whose name begins with Release/release consumes one. For
+// every function in the kernel packages the rule proves:
 //
 //  1. every Borrow is matched by exactly one Release on ALL paths — early
 //     returns, explicit panics and error branches included — with
@@ -877,7 +877,7 @@ func isLocalTarget(p *Package, lhs ast.Expr) bool {
 
 // isBorrowName reports whether an arena method name mints a pooled value.
 func isBorrowName(name string) bool {
-	return strings.HasPrefix(name, "Borrow") || strings.HasPrefix(name, "borrow") || name == "Scratch"
+	return strings.HasPrefix(name, "Borrow") || strings.HasPrefix(name, "borrow")
 }
 
 // isReleaseName reports whether an arena method name consumes a pooled

@@ -73,7 +73,7 @@ func (h *HotAlloc) Check(p *Package, report func(Finding)) {
 					Pos:  p.Fset.Position(call.Pos()),
 					Rule: h.Name(),
 					Msg:  "make(" + types.TypeString(p.Info.TypeOf(call), nil) + ", ...) inside //alchemist:hot function " + fd.Name.Name,
-					Hint: "borrow scratch (ring.BufPool.Get, Ring.Borrow/Scratch) and release it, move the allocation to an unannotated wrapper, or annotate //alchemist:allow hot-alloc <reason>",
+					Hint: "borrow scratch (ring.BufPool.Get, Ring.Borrow) and release it, move the allocation to an unannotated wrapper, or annotate //alchemist:allow hot-alloc <reason>",
 				})
 				return true
 			})

@@ -62,12 +62,3 @@ func BatchMults(batches []Batch) int64 {
 	}
 	return total
 }
-
-// BatchCycles sums core-cycle demand over a lowered batch list.
-func BatchCycles(batches []Batch) int64 {
-	var total int64
-	for _, b := range batches {
-		total += b.TotalCycles()
-	}
-	return total
-}

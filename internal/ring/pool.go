@@ -250,10 +250,3 @@ func (r *Ring) Release(p *Poly) {
 	p.released = true
 	r.pools()[p.Level()].pool.Put(p)
 }
-
-// Scratch returns a single degree-N channel buffer from the ring's raw
-// arena (arbitrary contents; pair with ReleaseScratch).
-func (r *Ring) Scratch() []uint64 { return r.buf.Get(r.N) }
-
-// ReleaseScratch returns a Scratch buffer to the arena.
-func (r *Ring) ReleaseScratch(b []uint64) { r.buf.Put(b) }

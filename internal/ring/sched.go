@@ -44,12 +44,9 @@ import (
 // participates (it claims partitions like any worker), so a job can never
 // stall behind helpers that were granted but are busy elsewhere.
 
-// Scheduler op codes. One per parallel kernel family; opFn is the generic
-// escape hatch for cold paths and tests (its closure allocates — never use
-// it on a 0 B/op kernel).
+// Scheduler op codes, one per parallel kernel family.
 const (
-	opFn = iota
-	opNTT
+	opNTT = iota
 	opINTT
 	opAdd
 	opSub
@@ -86,7 +83,6 @@ type schedJob struct {
 	dc         *DualConverter  // opConvertBoth
 	a, b, out  *Poly           // poly operands (a=src, b=second src / conv)
 	c          *Poly           // opMulShoup: the Shoup constants of b
-	fn         func(i int)     // opFn
 	in, o1, o2 [][]uint64      // conversion channel slices (src, dstQ, dstP)
 	srcLevel   int             // conversion source level
 	nDst, nQ   int             // conversion target-channel counts
@@ -109,7 +105,7 @@ type schedJob struct {
 // key material across calls.
 func (j *schedJob) clear() {
 	j.r, j.ext, j.bc, j.dc = nil, nil, nil, nil
-	j.a, j.b, j.c, j.out, j.fn = nil, nil, nil, nil, nil
+	j.a, j.b, j.c, j.out = nil, nil, nil, nil
 	j.in, j.o1, j.o2, j.pi, j.last = nil, nil, nil, nil, nil
 	j.dp, j.kb, j.ka = nil, nil, nil
 }
@@ -206,10 +202,6 @@ func (j *schedJob) runPart(w int) {
 		j.dc.convertBothRange(j.srcLevel, j.in, j.o1, j.o2, j.nQ, lo, hi, w)
 	case opKSAcc:
 		j.r.ksAccLimbs(lo, hi, w, j.dp, j.kb, j.ka, j.pi, j.a, j.out)
-	default:
-		for i := lo; i < hi; i++ {
-			j.fn(i)
-		}
 	}
 }
 
@@ -367,20 +359,4 @@ func (p *workerPool) worker() {
 	p.spawned--
 	p.done.Broadcast()
 	p.mu.Unlock()
-}
-
-// forEachChannel runs fn(i) for i in [0, level] using the configured worker
-// count. Generic (closure-allocating) path for cold kernels and tests; hot
-// kernels use dedicated op codes instead.
-func (r *Ring) forEachChannel(level int, fn func(i int)) {
-	parts := r.parWidth(level + 1)
-	if parts <= 1 {
-		for i := 0; i <= level; i++ {
-			fn(i)
-		}
-		return
-	}
-	j := r.getJob()
-	j.op, j.fn, j.tasks = opFn, fn, level+1
-	r.runParallel(j, parts)
 }

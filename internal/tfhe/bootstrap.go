@@ -291,20 +291,3 @@ func (s *Scheme) GateTestVector(mu Torus) TorusPoly {
 	}
 	return tv
 }
-
-// LUT builds a test vector for a function over a 2^msgBits message space
-// (negacyclic PBS convention: inputs must stay in the upper half-torus
-// handled by the caller's encoding).
-func (s *Scheme) LUT(msgBits int, f func(x int) Torus) TorusPoly {
-	n := s.Params.N
-	tv := make(TorusPoly, n)
-	buckets := 1 << uint(msgBits)
-	per := n / buckets
-	for x := 0; x < buckets; x++ {
-		v := f(x)
-		for j := 0; j < per; j++ {
-			tv[x*per+j] = v
-		}
-	}
-	return tv
-}

@@ -29,7 +29,6 @@ type bootConfig struct {
 	workers int
 	batch   int
 	tv      TorusPoly
-	ksk     [][]*LweSample
 }
 
 // Option configures a Bootstrapper, following the engine package's idiom.
@@ -51,13 +50,6 @@ func WithWorkers(n int) Option {
 // with μ = 1/8.
 func WithTestVector(tv TorusPoly) Option {
 	return func(c *bootConfig) { c.tv = tv }
-}
-
-// WithKeySwitchKey overrides the key-switch key applied after sample
-// extraction (default: the scheme's own KSK). The key must cover the
-// extracted dimension k·N.
-func WithKeySwitchKey(ksk [][]*LweSample) Option {
-	return func(c *bootConfig) { c.ksk = ksk }
 }
 
 // WithBatchWidth sets the micro-batch width used by RunBatch and the
@@ -90,7 +82,7 @@ type Bootstrapper struct {
 // scheme's key-switch key, one worker, and micro-batches of 8. Every
 // configuration key-switches with the trimmed p.TrimKs() digits.
 func (s *Scheme) Bootstrapper(opts ...Option) (*Bootstrapper, error) {
-	cfg := bootConfig{workers: 1, batch: 8, ksk: s.KSK}
+	cfg := bootConfig{workers: 1, batch: 8}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -100,9 +92,6 @@ func (s *Scheme) Bootstrapper(opts ...Option) (*Bootstrapper, error) {
 	}
 	if len(cfg.tv) != p.N {
 		return nil, fmt.Errorf("tfhe: test vector length %d, want N=%d", len(cfg.tv), p.N)
-	}
-	if len(cfg.ksk) != p.K*p.N {
-		return nil, fmt.Errorf("tfhe: key-switch key covers %d, want k·N=%d", len(cfg.ksk), p.K*p.N)
 	}
 	s.pairBootKey() // generate the pair key up front, not under first-call latency
 	return &Bootstrapper{s: s, cfg: cfg}, nil
@@ -160,7 +149,7 @@ func (b *Bootstrapper) RunWith(ctx context.Context, ct *LweSample, tv TorusPoly)
 	SampleExtractInto(acc, ext)
 	s.PM.releaseTrlwe(acc)
 	out := s.borrowLwe(p.NLwe)
-	s.keySwitchInto(b.cfg.ksk, ext, p.TrimKs(), out)
+	s.keySwitchInto(s.KSK, ext, p.TrimKs(), out)
 	s.releaseLwe(ext)
 	return out, nil //alchemist:owns pooled output transfers to the caller; Bootstrapper.Recycle returns it to the arena
 }
@@ -246,7 +235,7 @@ func (b *Bootstrapper) runChunk(cts []*LweSample, tvs []TorusPoly, outs []*LweSa
 		SampleExtractInto(cs.accs[i], cs.exts[i])
 		cs.outs[i] = s.borrowLwe(p.NLwe) //alchemist:owns pooled outputs transfer to the caller via outs; Bootstrapper.Recycle returns them
 	}
-	s.keySwitchBatchInto(b.cfg.ksk, cs.exts[:j], p.TrimKs(), cs.outs[:j])
+	s.keySwitchBatchInto(s.KSK, cs.exts[:j], p.TrimKs(), cs.outs[:j])
 	copy(outs, cs.outs[:j])
 	return nil
 }
@@ -540,7 +529,7 @@ func (b *Bootstrapper) stageKeySwitch(ctx context.Context, in <-chan streamToken
 				exts = append(exts, toks[i].ext)
 				outs = append(outs, s.borrowLwe(p.NLwe)) //alchemist:owns pooled outputs transfer to the Result channel; Bootstrapper.Recycle returns them
 			}
-			s.keySwitchBatchInto(b.cfg.ksk, exts, p.TrimKs(), outs)
+			s.keySwitchBatchInto(s.KSK, exts, p.TrimKs(), outs)
 			oi := 0
 			for i := range toks {
 				res := Result{Tag: toks[i].tag, Err: toks[i].err}
