@@ -42,6 +42,11 @@ func TestSchemeOutputsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["mulrelin"] = hashCiphertexts(t, prod)
+	rescaled, err := f.ev.Rescale(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["rescale"] = hashCiphertexts(t, rescaled)
 	rot, err := f.ev.Rotate(ct1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +62,22 @@ func TestSchemeOutputsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["linear-transform"] = hashCiphertexts(t, y)
+	// A bidiagonal matrix has diagonals {0, 1} only: a transform small
+	// enough to run in one giant group.
+	bidiag := make([][]complex128, 8)
+	for j, row := range randomMatrix(8, 2, 75) {
+		bidiag[j] = make([]complex128, 9)
+		copy(bidiag[j][j:], row)
+	}
+	lt01, err := NewLinearTransformFromMatrix(bidiag, params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	y01, err := f.ev.EvalLinearTransform(ct1, lt01, f.enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["linear-transform-bidiagonal"] = hashCiphertexts(t, y01)
 
 	// The key-free ciphertext arithmetic and a fresh encryption, drawn after
 	// every input above so the earlier hashes keep their streams.
@@ -85,18 +106,20 @@ func TestSchemeOutputsGolden(t *testing.T) {
 	got["decrypt-poly"] = hashPolys(t, f.dt.DecryptPoly(ct1))
 
 	want := map[string]string{
-		"relin-key":        "17c7030e9238656e08913cf1b8668779c01b13869f66267c4b8551ef83b72e5b",
-		"galois-key":       "850548b4278564cb5c0f74e2d7e3c16b7508faa58637ea73f0ade83e038308c6",
-		"mulrelin":         "5287c09bd176bcb52dff5ffcd36bcc4c83f8f901298dd00c9997a29b88fa0431",
-		"rotate":           "d5ecf32a5a9eda90dd087a5d4b7bb580d0b0fa39b13730b1f5e5a21f5ef14a87",
-		"rotate-hoisted":   "84d7facdc051a4c9d9546a660c0800d3672b511571a930645307c139a0862a94",
-		"linear-transform": "cc8a733285708d495ffb93aad4469b4c8f2edc18abe3ea3072a1aeb6e0390727",
-		"encrypt":          "63cd9293814c17ebd3299c4cf6c03bb785f3a01a0eac14a45d691759185a9e19",
-		"drop-level":       "72ce4532359edd5cf0214094c7345060533b38c0b84fe23588b9b4df0b91323a",
-		"add":              "a617fca1fc5d3ccdd020cda823b94be7e52f243ac8ec61faed675bbf7d320341",
-		"sub":              "589983a4526368ee9876019f5a89c0c507f6c9b98b829b20f76f40027d1c9558",
-		"mulplain":         "503f537421082605fdbd0a9e66d2eeb3893aba2bfa225da1c6b30ddb0b44e0c7",
-		"decrypt-poly":     "94c0fb73b6ec5a7f41ed9a3b327b5d2d212dc2ea4c9f616f7dba3dff332caaac",
+		"relin-key":                   "17c7030e9238656e08913cf1b8668779c01b13869f66267c4b8551ef83b72e5b",
+		"galois-key":                  "850548b4278564cb5c0f74e2d7e3c16b7508faa58637ea73f0ade83e038308c6",
+		"mulrelin":                    "5287c09bd176bcb52dff5ffcd36bcc4c83f8f901298dd00c9997a29b88fa0431",
+		"rotate":                      "d5ecf32a5a9eda90dd087a5d4b7bb580d0b0fa39b13730b1f5e5a21f5ef14a87",
+		"rotate-hoisted":              "84d7facdc051a4c9d9546a660c0800d3672b511571a930645307c139a0862a94",
+		"linear-transform":            "cc8a733285708d495ffb93aad4469b4c8f2edc18abe3ea3072a1aeb6e0390727",
+		"linear-transform-bidiagonal": "4b3c38b09e213a78dbbe5f7adc16b9d7c2b5eceb829bf68cde517848bd129c87",
+		"rescale":                     "b23fb92d488cf9f3c58c2d1670346f9c449760816269d0dd3b70cccb2d2295ac",
+		"encrypt":                     "63cd9293814c17ebd3299c4cf6c03bb785f3a01a0eac14a45d691759185a9e19",
+		"drop-level":                  "72ce4532359edd5cf0214094c7345060533b38c0b84fe23588b9b4df0b91323a",
+		"add":                         "a617fca1fc5d3ccdd020cda823b94be7e52f243ac8ec61faed675bbf7d320341",
+		"sub":                         "589983a4526368ee9876019f5a89c0c507f6c9b98b829b20f76f40027d1c9558",
+		"mulplain":                    "503f537421082605fdbd0a9e66d2eeb3893aba2bfa225da1c6b30ddb0b44e0c7",
+		"decrypt-poly":                "94c0fb73b6ec5a7f41ed9a3b327b5d2d212dc2ea4c9f616f7dba3dff332caaac",
 	}
 	for name, w := range want {
 		if got[name] != w {
