@@ -19,11 +19,9 @@ func FuzzReductionAgreement(f *testing.F) {
 	f.Add(uint64(1), ^uint64(0)>>1, uint64(2305843009213693951)) // Mersenne 2^61-1
 	f.Add(^uint64(0), uint64(1), uint64(4611686018427387847))
 	f.Fuzz(func(t *testing.T, a, b, qSeed uint64) {
-		// Derive a valid odd modulus in (2, 2^62) from the seed.
+		// Derive a modulus in (2, 2^62) from the seed, even or odd: Barrett
+		// and Shoup take any 1 < q < 2^62.
 		q := qSeed%((1<<62)-3) + 3
-		if q%2 == 0 {
-			q++
-		}
 		// The single-word fold must agree with % on the raw (unreduced)
 		// inputs before they are clamped below q.
 		br := NewBarrett(q)
