@@ -3,10 +3,12 @@ package ckks
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"alchemist/internal/modmath"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // ErrContextMismatch marks an operand built for another context's
@@ -15,16 +17,19 @@ import (
 var ErrContextMismatch = errors.New("ckks: operand built for another context")
 
 // LinearTransform is a slot-space matrix encoded by its generalized
-// diagonals: Diags[d][j] = M[j][(j+d) mod n]. Evaluating it homomorphically
-// costs one hoisted rotation keyswitch and one plaintext multiplication per
-// non-zero diagonal — the building block of LoLa-style dense layers and of
-// the CoeffToSlot / SlotToCoeff transforms in bootstrapping.
+// diagonals: Diags[d][j] = M[j][(j+d) mod n] — the building block of
+// LoLa-style dense layers and of the CoeffToSlot / SlotToCoeff transforms in
+// bootstrapping. Evaluating it homomorphically costs one plaintext
+// multiplication per non-zero diagonal and, in the baby-step giant-step
+// split of Bossuat et al. (Eurocrypt 2021), one rotation keyswitch per baby
+// step and per giant step that occurs: about 2·√D keyswitches and rotation
+// keys for D diagonals, not D−1.
 //
 // The first evaluation under a given Context and input level encodes every
 // diagonal and caches the NTT-domain plaintexts in the transform, so Diags
 // must not be mutated after the first evaluation. A transform may be
 // evaluated concurrently, and under several contexts: each (context, level)
-// pair gets its own cache entry, costing D·(level+1+|P|)·N·8 bytes for D
+// pair gets its own cache entry, at most D·(level+1+|P|)·N·8 bytes for D
 // non-zero diagonals.
 type LinearTransform struct {
 	Diags map[int][]complex128
@@ -39,15 +44,82 @@ type ltKey struct {
 	level int
 }
 
-// ltPlaintexts is a transform encoded for one (context, level): diagonal 0
-// over Q and every other diagonal over Q·P, all in the NTT domain. once
-// guards the build, so concurrent first uses encode it exactly once.
+// giantStepCost is what one giant step costs in the split rule, in units of
+// one baby step. A baby step is one KSAccumulate pair and one NTT-domain
+// automorphism; a giant step adds to that the ModDown pair and the digit
+// decomposition of its partial sum. CHANGES.md records the measurements.
+const giantStepCost = 2
+
+// bsgsSplit returns the baby-step width n1 for the diagonal residues res
+// (distinct, in [0, slots)): the power of two that minimizes the
+// keyswitches the split runs, a baby step costing 1 and a giant step
+// giantStepCost, ties going to fewer rotation keys and then to the smaller
+// n1. Every residue d splits as g + b with g = n1·⌊d/n1⌋ and b = d mod n1;
+// an n1 above every residue leaves one giant group (n2 = 1), which is the
+// plain double-hoisted transform.
+func bsgsSplit(res []int, slots int) int {
+	best, bestCost, bestKeys := 1, -1, 0
+	for n1 := 1; n1 <= slots; n1 *= 2 {
+		babies, giants := splitSteps(res, n1)
+		cost := len(babies) + giantStepCost*len(giants)
+		keys := len(babies) + len(giants)
+		if bestCost < 0 || cost < bestCost || cost == bestCost && keys < bestKeys {
+			best, bestCost, bestKeys = n1, cost, keys
+		}
+	}
+	return best
+}
+
+// splitSteps returns the non-zero baby steps and giant steps that the
+// residues res (ascending) use under width n1, each ascending.
+func splitSteps(res []int, n1 int) (babies, giants []int) {
+	used := make([]bool, n1)
+	for _, d := range res {
+		used[d%n1] = true
+		if g := d - d%n1; g != 0 && (len(giants) == 0 || giants[len(giants)-1] != g) {
+			giants = append(giants, g)
+		}
+	}
+	for b := 1; b < n1; b++ {
+		if used[b] {
+			babies = append(babies, b)
+		}
+	}
+	return babies, giants
+}
+
+// residues returns the transform's diagonal indices reduced mod slots,
+// distinct and ascending.
+func residues(diags map[int][]complex128, slots int) []int {
+	res := make([]int, 0, len(diags))
+	for d := range diags {
+		res = append(res, (d%slots+slots)%slots)
+	}
+	slices.Sort(res)
+	return slices.Compact(res)
+}
+
+// ltPlaintexts is a transform encoded for one (context, level) and grouped
+// by giant step. once guards the build, so concurrent first uses encode it
+// exactly once.
 type ltPlaintexts struct {
-	once  sync.Once
-	err   error
-	zero  *ring.Poly   // diagonal 0 over Q (levels 0..level); nil if absent
-	steps []int        // the non-zero diagonals
-	q, p  []*ring.Poly // each one's plaintext over Q (levels 0..level) and P
+	once   sync.Once
+	err    error
+	babies []int     // the non-zero baby steps, ascending
+	giants []ltGiant // ascending; giant step 0 first when it occurs
+	zero   bool      // some term uses baby step 0
+	// scratch holds one evaluation's baby-step ciphertexts: *[]*ring.Poly,
+	// four polynomials (B and A over Q, then over P) per baby step.
+	scratch sync.Pool
+}
+
+// ltGiant is one giant step g and its terms Σ_b pt_{g,b} ⊙ rot(ct, b), where
+// pt_{g,b} is diagonal g+b rotated by −g, so that rotating the sum by g
+// yields Σ_b diag_{g+b} ⊙ rot(ct, g+b).
+type ltGiant struct {
+	step int
+	baby []int        // per term, the index into babies; -1 for baby step 0
+	q, p []*ring.Poly // per term, the plaintext over Q (levels 0..level) and P; p is nil for baby step 0
 }
 
 // plaintexts returns the transform's cached plaintexts for enc's context at
@@ -68,9 +140,10 @@ func (lt *LinearTransform) plaintexts(enc *Encoder, level int) (*ltPlaintexts, e
 	return e, e.err
 }
 
-// build encodes every diagonal at the context's default scale and moves it
-// into the NTT domain. The order of the entries does not matter: the
-// evaluation accumulates them with exact modular sums.
+// build splits the diagonals into baby and giant steps, then encodes each
+// diagonal, pre-rotated by its giant step, at the context's default scale
+// and moves it into the NTT domain. The order of the terms does not matter:
+// the evaluation accumulates them with exact modular sums.
 func (e *ltPlaintexts) build(diags map[int][]complex128, enc *Encoder, level int) error {
 	ctx := enc.ctx
 	rq, rp := ctx.RQ, ctx.RP
@@ -82,24 +155,45 @@ func (e *ltPlaintexts) build(diags map[int][]complex128, enc *Encoder, level int
 		if len(diag) != slots {
 			return fmt.Errorf("%w: diagonal %d has %d entries, the context has %d slots", ErrContextMismatch, d, len(diag), slots)
 		}
+	}
+	res := residues(diags, slots)
+	n1 := bsgsSplit(res, slots)
+	e.babies, _ = splitSteps(res, n1)
+	for _, r := range res {
+		if g := r - r%n1; len(e.giants) == 0 || e.giants[len(e.giants)-1].step != g {
+			e.giants = append(e.giants, ltGiant{step: g})
+		}
+	}
+	rotated := make([]complex128, slots)
+	for d, diag := range diags {
+		r := (d%slots + slots) % slots
+		g, b := r-r%n1, r%n1
+		giant := &e.giants[slices.IndexFunc(e.giants, func(x ltGiant) bool { return x.step == g })]
+		for j := range rotated {
+			rotated[j] = diag[(j-g+slots)%slots]
+		}
 		pq := rq.NewPoly(level)
-		if d == 0 {
-			if err := enc.encodeInto(diag, scale, level, pq, nil); err != nil {
+		if b == 0 {
+			if err := enc.encodeInto(rotated, scale, level, pq, nil); err != nil {
 				return err
 			}
 			rq.NTT(level, pq)
-			e.zero = pq
+			e.zero = true
+			giant.baby = append(giant.baby, -1)
+			giant.q = append(giant.q, pq)
+			giant.p = append(giant.p, nil)
 			continue
 		}
 		pp := rp.NewPoly(levelP)
-		if err := enc.encodeInto(diag, scale, level, pq, pp); err != nil {
+		if err := enc.encodeInto(rotated, scale, level, pq, pp); err != nil {
 			return err
 		}
 		rq.NTT(level, pq)
 		rp.NTT(levelP, pp)
-		e.steps = append(e.steps, d)
-		e.q = append(e.q, pq)
-		e.p = append(e.p, pp)
+		bi, _ := slices.BinarySearch(e.babies, b)
+		giant.baby = append(giant.baby, bi)
+		giant.q = append(giant.q, pq)
+		giant.p = append(giant.p, pp)
 	}
 	return nil
 }
@@ -136,29 +230,37 @@ func NewLinearTransformFromMatrix(m [][]complex128, slots int) (*LinearTransform
 	return lt, nil
 }
 
-// Rotations returns the rotation steps the transform needs (for key
-// generation).
+// Rotations returns the rotation steps the transform needs, for key
+// generation: its non-zero baby steps and giant steps, ascending.
 func (lt *LinearTransform) Rotations() []int {
-	out := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		if d != 0 {
-			out = append(out, d)
-		}
+	slots := 0
+	for _, diag := range lt.Diags {
+		slots = max(slots, len(diag))
 	}
-	return out
+	if slots == 0 {
+		return nil
+	}
+	res := residues(lt.Diags, slots)
+	babies, giants := splitSteps(res, bsgsSplit(res, slots))
+	return append(babies, giants...)
 }
 
 // EvalLinearTransform applies the transform, Σ_d diag_d ⊙ rot(ct, d),
 // followed by a rescale. The evaluator must hold the rotation keys returned
 // by Rotations(), and enc must belong to the evaluator's context.
 //
-// The evaluation is double-hoisted: ct.A is decomposed once (ModUp), and
-// each diagonal's keyswitch inner product is multiplied by the diagonal's
-// cached plaintext and accumulated over Q·P in the NTT domain, so the
-// inverse transforms and the ModDown run once per transform instead of once
-// per diagonal. The B terms, φ_d(B) and diagonal 0's B and A, enter the Q
-// half of the same accumulators pre-multiplied by P, which the ModDown
-// divides out exactly.
+// The evaluation is a double-hoisted baby-step giant-step transform. ct.A is
+// decomposed once (ModUp), and each baby step b is one permuted keyswitch
+// accumulation kept over Q·P in the NTT domain, with P·φ_b(B) added onto
+// its Q half; no baby step pays a ModDown. Each giant step g multiplies its
+// pre-rotated plaintexts into those baby steps over Q·P. Giant step 0's sum
+// goes straight into the output accumulators; any other is brought down to
+// Q by one ModDown pair, decomposed, and rotated by g with its keyswitch
+// accumulated into the same Q·P accumulators. One final ModDown pair and a
+// rescale close the transform. Baby step 0, the input itself, enters the Q
+// half as P·B and P·A, which the ModDown divides out exactly. With one giant
+// group (n2 = 1) this is one keyswitch accumulation per diagonal and one
+// ModDown pair per transform.
 func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
 	if len(lt.Diags) == 0 {
 		return nil, fmt.Errorf("ckks: transform has no diagonals")
@@ -174,12 +276,17 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 	}
 	// Resolve every rotation key first, so no arena state is held across an
 	// error return.
-	if len(pts.steps) > 0 && ev.eks == nil {
-		return nil, fmt.Errorf("ckks: rotation keys missing")
+	for _, step := range pts.babies {
+		if err := ev.hasRotationKey(step); err != nil {
+			return nil, err
+		}
 	}
-	for _, step := range pts.steps {
-		if _, ok := ev.eks.Rot[ctx.RQ.GaloisElementForRotation(step)]; !ok {
-			return nil, fmt.Errorf("ckks: rotation key for step %d missing", step)
+	for _, g := range pts.giants {
+		if g.step == 0 {
+			continue
+		}
+		if err := ev.hasRotationKey(g.step); err != nil {
+			return nil, err
 		}
 	}
 	rq, rp := ctx.RQ, ctx.RP
@@ -187,40 +294,25 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 
 	acc0Q, acc1Q := rq.BorrowZero(level), rq.BorrowZero(level)
 	acc0P, acc1P := rp.BorrowZero(levelP), rp.BorrowZero(levelP)
-	bP := rq.Borrow(level)
-	ev.nttTimesP(level, ct.B, bP)
-	if pts.zero != nil {
-		aP := rq.Borrow(level)
-		ev.nttTimesP(level, ct.A, aP)
-		rq.MulCoeffsAndAdd(level, bP, pts.zero, acc0Q)
-		rq.MulCoeffsAndAdd(level, aP, pts.zero, acc1Q)
-		rq.Release(aP)
+	pB := rq.Borrow(level)
+	ev.nttTimesP(level, ct.B, pB)
+	var pA *ring.Poly
+	if pts.zero {
+		pA = rq.Borrow(level)
+		ev.nttTimesP(level, ct.A, pA)
 	}
-	if len(pts.steps) > 0 {
-		dec := ev.DecomposeOnce(level, ct.A)
-		groups := len(dec.DQ)
-		ksBQ, ksAQ, rot := rq.Borrow(level), rq.Borrow(level), rq.Borrow(level)
-		ksBP, ksAP := rp.Borrow(levelP), rp.Borrow(levelP)
-		for i, step := range pts.steps {
-			k := rq.GaloisElementForRotation(step)
-			key := ev.eks.Rot[k]
-			rq.KSAccumulate(level, dec.DQ, key.BQ[:groups], key.AQ[:groups], k, true, ksBQ, ksAQ)
-			rp.KSAccumulate(levelP, dec.DP, key.BP[:groups], key.AP[:groups], k, true, ksBP, ksAP)
-			rq.AutomorphismNTT(level, bP, k, rot)
-			rq.Add(level, ksBQ, rot, ksBQ)
-			rq.MulCoeffsAndAdd(level, ksBQ, pts.q[i], acc0Q)
-			rq.MulCoeffsAndAdd(level, ksAQ, pts.q[i], acc1Q)
-			rp.MulCoeffsAndAdd(levelP, ksBP, pts.p[i], acc0P)
-			rp.MulCoeffsAndAdd(levelP, ksAP, pts.p[i], acc1P)
+	babies := pts.borrowBabies(ev, ct, pB)
+	for gi := range pts.giants {
+		g := &pts.giants[gi]
+		if g.step == 0 {
+			g.accumulate(rq, rp, level, *babies, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
+			continue
 		}
-		rq.Release(ksBQ)
-		rq.Release(ksAQ)
-		rq.Release(rot)
-		rp.Release(ksBP)
-		rp.Release(ksAP)
-		ev.ReleaseDecomposition(dec)
+		ev.giantStep(g, level, *babies, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
 	}
-	rq.Release(bP)
+	pts.releaseBabies(babies, ev)
+	rq.Release(pB)
+	rq.Release(pA)
 
 	rq.INTT(level, acc0Q)
 	rq.INTT(level, acc1Q)
@@ -249,6 +341,129 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 	out, err := ev.Rescale(sum)
 	ctx.Recycle(sum) //alchemist:owns Recycle returns both of sum's polynomials to the arena
 	return out, err
+}
+
+// hasRotationKey reports a missing rotation key for step as an error.
+func (ev *Evaluator) hasRotationKey(step int) error {
+	if ev.eks == nil {
+		return fmt.Errorf("ckks: rotation keys missing")
+	}
+	if _, ok := ev.eks.Rot[ev.ctx.RQ.GaloisElementForRotation(step)]; !ok {
+		return fmt.Errorf("ckks: rotation key for step %d missing", step)
+	}
+	return nil
+}
+
+// borrowBabies rotates ct by every baby step over Q·P against one shared
+// decomposition of ct.A, given bP = P·B in the NTT domain. It returns four
+// polynomials per baby step (B and A over Q, then over P), all from the
+// arenas; releaseBabies hands them back.
+func (e *ltPlaintexts) borrowBabies(ev *Evaluator, ct *Ciphertext, bP *ring.Poly) *[]*ring.Poly {
+	s, ok := e.scratch.Get().(*[]*ring.Poly)
+	if !ok {
+		buf := make([]*ring.Poly, 4*len(e.babies))
+		s = &buf
+	}
+	if len(e.babies) == 0 {
+		return s
+	}
+	babies := *s
+	rq, rp := ev.ctx.RQ, ev.ctx.RP
+	level, levelP := ct.Level, rp.MaxLevel()
+	dec := ev.DecomposeOnce(level, ct.A)
+	for i, step := range e.babies {
+		babies[4*i], babies[4*i+1] = rq.Borrow(level), rq.Borrow(level)     //alchemist:owns releaseBabies returns the baby steps to the arenas
+		babies[4*i+2], babies[4*i+3] = rp.Borrow(levelP), rp.Borrow(levelP) //alchemist:owns releaseBabies returns the baby steps to the arenas
+		ev.rotateQP(dec, bP, step, babies[4*i], babies[4*i+1], babies[4*i+2], babies[4*i+3])
+	}
+	ev.ReleaseDecomposition(dec)
+	return s
+}
+
+// releaseBabies returns borrowBabies' polynomials to the arenas.
+func (e *ltPlaintexts) releaseBabies(babies *[]*ring.Poly, ev *Evaluator) {
+	rq, rp := ev.ctx.RQ, ev.ctx.RP
+	for i, p := range *babies {
+		if i%4 < 2 {
+			rq.Release(p)
+		} else {
+			rp.Release(p)
+		}
+	}
+	e.scratch.Put(babies)
+}
+
+// rotateQP writes the rotation of (B, A) by step over Q·P in the NTT domain
+// into outBQ, outAQ (over Q) and outBP, outAP (over P), from d, the
+// decomposition of A, and bP = P·B in the NTT domain: the permuted keyswitch
+// accumulation, with φ(P·B) added onto the Q half of B. Nothing is divided
+// by P yet.
+func (ev *Evaluator) rotateQP(d *rlwe.Decomposition, bP *ring.Poly, step int, outBQ, outAQ, outBP, outAP *ring.Poly) {
+	rq, rp := ev.ctx.RQ, ev.ctx.RP
+	level, levelP := d.Level, rp.MaxLevel()
+	groups := len(d.DQ)
+	k := rq.GaloisElementForRotation(step)
+	key := ev.eks.Rot[k]
+	rq.KSAccumulate(level, d.DQ, key.BQ[:groups], key.AQ[:groups], k, true, outBQ, outAQ)
+	rp.KSAccumulate(levelP, d.DP, key.BP[:groups], key.AP[:groups], k, true, outBP, outAP)
+	rot := rq.Borrow(level)
+	rq.AutomorphismNTT(level, bP, k, rot)
+	rq.Add(level, outBQ, rot, outBQ)
+	rq.Release(rot)
+}
+
+// accumulate adds the giant step's inner product Σ_b pt_{g,b} ⊙ baby_b over
+// Q·P into the accumulators (acc0Q, acc1Q) over Q and (acc0P, acc1P) over P.
+// Baby step 0 is the input itself: pB = P·B and pA = P·A over Q, zero over
+// P.
+func (g *ltGiant) accumulate(rq, rp *ring.Ring, level int, babies []*ring.Poly, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
+	levelP := rp.MaxLevel()
+	for t, bi := range g.baby {
+		if bi < 0 {
+			rq.MulCoeffsAndAdd(level, pB, g.q[t], acc0Q)
+			rq.MulCoeffsAndAdd(level, pA, g.q[t], acc1Q)
+			continue
+		}
+		rq.MulCoeffsAndAdd(level, babies[4*bi], g.q[t], acc0Q)
+		rq.MulCoeffsAndAdd(level, babies[4*bi+1], g.q[t], acc1Q)
+		rp.MulCoeffsAndAdd(levelP, babies[4*bi+2], g.p[t], acc0P)
+		rp.MulCoeffsAndAdd(levelP, babies[4*bi+3], g.p[t], acc1P)
+	}
+}
+
+// giantStep rotates a non-zero giant step's inner product by its step and
+// adds it into the accumulators (acc0Q, acc1Q) and (acc0P, acc1P): the sum
+// is brought down to Q by one ModDown pair, its A half decomposed, and the
+// rotation's keyswitch and P·φ_g(B) added over Q·P, where the transform's
+// final ModDown divides P out.
+func (ev *Evaluator) giantStep(g *ltGiant, level int, babies []*ring.Poly, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
+	ctx := ev.ctx
+	rq, rp := ctx.RQ, ctx.RP
+	levelP := rp.MaxLevel()
+	sumBQ, sumAQ := rq.BorrowZero(level), rq.BorrowZero(level)
+	sumBP, sumAP := rp.BorrowZero(levelP), rp.BorrowZero(levelP)
+	g.accumulate(rq, rp, level, babies, pB, pA, sumBQ, sumAQ, sumBP, sumAP)
+	rq.INTT(level, sumBQ)
+	rq.INTT(level, sumAQ)
+	rp.INTT(levelP, sumBP)
+	rp.INTT(levelP, sumAP)
+	b, a := rq.Borrow(level), rq.Borrow(level)
+	ctx.Ext.ModDown(level, sumBQ, sumBP, b)
+	ctx.Ext.ModDown(level, sumAQ, sumAP, a)
+	dec := ev.DecomposeOnce(level, a)
+	ev.nttTimesP(level, b, a)
+	ev.rotateQP(dec, a, g.step, sumBQ, sumAQ, sumBP, sumAP)
+	ev.ReleaseDecomposition(dec)
+	rq.Release(b)
+	rq.Release(a)
+	rq.Add(level, acc0Q, sumBQ, acc0Q)
+	rq.Add(level, acc1Q, sumAQ, acc1Q)
+	rp.Add(levelP, acc0P, sumBP, acc0P)
+	rp.Add(levelP, acc1P, sumAP, acc1P)
+	rq.Release(sumBQ)
+	rq.Release(sumAQ)
+	rp.Release(sumBP)
+	rp.Release(sumAP)
 }
 
 // nttTimesP writes P·src (coefficient domain over Q) into dst in the NTT

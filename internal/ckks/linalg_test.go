@@ -2,9 +2,12 @@ package ckks
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -66,6 +69,8 @@ func TestLinearTransformMatchesPlainMatVec(t *testing.T) {
 // ltFixture is one keyed context for the linear-transform tests.
 type ltFixture struct {
 	ctx *Context
+	kg  *KeyGenerator
+	sk  *SecretKey
 	enc *Encoder
 	et  *Encryptor
 	dt  *Decryptor
@@ -80,16 +85,28 @@ func newLTFixture(t testing.TB, params Parameters, rotations []int, seed int64) 
 	}
 	kg := NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	// Keys draw from one stream, so generate them in a fixed order.
-	rotations = append([]int(nil), rotations...)
-	sort.Ints(rotations)
 	return &ltFixture{
 		ctx: ctx,
+		kg:  kg,
+		sk:  sk,
 		enc: NewEncoder(ctx),
 		et:  NewEncryptor(ctx, kg.GenPublicKey(sk), seed+1),
 		dt:  NewDecryptor(ctx, sk),
 		ev:  NewEvaluator(ctx, kg.GenEvaluationKeySet(sk, rotations, false)),
 	}
+}
+
+// perDiagonalEvaluator returns an evaluator under the fixture's secret that
+// holds a rotation key for every non-zero diagonal of lt, as the
+// per-diagonal reference needs.
+func (f *ltFixture) perDiagonalEvaluator(lt *LinearTransform) *Evaluator {
+	steps := make([]int, 0, len(lt.Diags))
+	for d := range lt.Diags {
+		if d != 0 {
+			steps = append(steps, d)
+		}
+	}
+	return NewEvaluator(f.ctx, f.kg.GenEvaluationKeySet(f.sk, steps, false))
 }
 
 // encrypt encrypts x at the top level, then drops it to the given level.
@@ -112,9 +129,10 @@ func (f *ltFixture) decrypt(ct *Ciphertext) []complex128 {
 }
 
 // referenceLinearTransform is the per-diagonal formulation the
-// double-hoisted evaluation replaces: Σ_d MulPlain(Rotate(ct, d),
-// Encode(diag_d)), then Rescale.
-func referenceLinearTransform(t testing.TB, f *ltFixture, ct *Ciphertext, lt *LinearTransform) *Ciphertext {
+// baby-step giant-step evaluation replaces: Σ_d MulPlain(Rotate(ct, d),
+// Encode(diag_d)), then Rescale, on ev, which must hold a rotation key for
+// every non-zero diagonal.
+func referenceLinearTransform(t testing.TB, f *ltFixture, ev *Evaluator, ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	t.Helper()
 	steps := make([]int, 0, len(lt.Diags))
 	for d := range lt.Diags {
@@ -127,7 +145,7 @@ func referenceLinearTransform(t testing.TB, f *ltFixture, ct *Ciphertext, lt *Li
 		rotated := ct
 		if d != 0 {
 			var err error
-			if rotated, err = f.ev.Rotate(ct, d); err != nil {
+			if rotated, err = ev.Rotate(ct, d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -135,16 +153,16 @@ func referenceLinearTransform(t testing.TB, f *ltFixture, ct *Ciphertext, lt *Li
 		if err != nil {
 			t.Fatal(err)
 		}
-		term := f.ev.MulPlain(rotated, pt, scale)
+		term := ev.MulPlain(rotated, pt, scale)
 		if acc == nil {
 			acc = term
 			continue
 		}
-		if acc, err = f.ev.Add(acc, term); err != nil {
+		if acc, err = ev.Add(acc, term); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := f.ev.Rescale(acc)
+	out, err := ev.Rescale(acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +199,15 @@ func ltInput(slots, in int, seed int64) []complex128 {
 	return x
 }
 
-// TestLinearTransformMatchesReference checks the double-hoisted evaluation
-// against the per-diagonal reference on the application shapes, at two input
-// levels each. The error a transform adds is measured against the plaintext
-// product of the decrypted input, so the input's own noise cancels: the
-// evaluation's may exceed the reference's by at most half a bit. Each level
-// then holds exactly one cache entry.
+// TestLinearTransformMatchesReference checks the baby-step giant-step
+// evaluation against the per-diagonal reference on the application shapes
+// and on split corner cases, at two input levels each. The evaluation runs
+// on an evaluator that holds only the transform's Rotations() keys; the
+// reference gets a key for every diagonal. The error a transform adds is
+// measured against the plaintext product of the decrypted input, so the
+// input's own noise cancels: the evaluation's may exceed the reference's by
+// at most half a bit. Each level then holds exactly one cache entry, split
+// into the pinned number of giant steps.
 func TestLinearTransformMatchesReference(t *testing.T) {
 	lola := TestParams()
 	bridge, err := GenParams(9, 3, 2, 2, 45, 42, 45)
@@ -202,19 +223,45 @@ func TestLinearTransformMatchesReference(t *testing.T) {
 	for j := range noDiag0 {
 		noDiag0[j][j] = 0
 	}
+	// Strictly lower triangular: diagonals slots−7 … slots−1 only, every
+	// one of them wrapped.
+	wrapped := randomMatrix(8, 8, 65)
+	for j := range wrapped {
+		for c := j; c < 8; c++ {
+			wrapped[j][c] = 0
+		}
+	}
+	// Eight diagonals in four far-apart pairs across the slot vector.
+	sparse := make([][]complex128, 4)
+	for j, row := range randomMatrix(4, 8, 66) {
+		sparse[j] = make([]complex128, lola.Slots())
+		for i, d := range []int{0, 5, 64, 69, 512, 517, 1000, 1005} {
+			sparse[j][(j+d)%lola.Slots()] = row[i]
+		}
+	}
+	// Diagonals {0, 1, 2}: small enough for one giant group.
+	tridiag := make([][]complex128, 8)
+	for j, row := range randomMatrix(8, 3, 67) {
+		tridiag[j] = make([]complex128, 10)
+		copy(tridiag[j][j:], row)
+	}
 	cases := []struct {
 		name   string
 		params Parameters
 		matrix func(*Context) [][]complex128
+		giants int // giant steps, step 0 included, in the split
 	}{
-		{"lola-16to8", lola, func(*Context) [][]complex128 { return randomMatrix(8, 16, 61) }},
-		{"lola-8to4", lola, func(*Context) [][]complex128 { return randomMatrix(4, 8, 62) }},
+		{"lola-16to8", lola, func(*Context) [][]complex128 { return randomMatrix(8, 16, 61) }, 3},
+		{"lola-8to4", lola, func(*Context) [][]complex128 { return randomMatrix(4, 8, 62) }, 3},
 		{"bridge-slot-to-coeff", bridge, func(ctx *Context) [][]complex128 {
 			v, _ := EncodingMatrices(ctx)
 			return v
-		}},
-		{"diagonal-0-only", lola, func(*Context) [][]complex128 { return diag0Only }},
-		{"no-diagonal-0", lola, func(*Context) [][]complex128 { return noDiag0 }},
+		}, 16},
+		{"diagonal-0-only", lola, func(*Context) [][]complex128 { return diag0Only }, 1},
+		{"no-diagonal-0", lola, func(*Context) [][]complex128 { return noDiag0 }, 3},
+		{"wrapped-only", lola, func(*Context) [][]complex128 { return wrapped }, 2},
+		{"sparse-far-apart", lola, func(*Context) [][]complex128 { return sparse }, 4},
+		{"one-giant-group", lola, func(*Context) [][]complex128 { return tridiag }, 1},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,6 +276,7 @@ func TestLinearTransformMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := newLTFixture(t, tc.params, lt.Rotations(), int64(70+ci))
+			ref := f.perDiagonalEvaluator(lt)
 			x := ltInput(slots, len(m[0]), int64(80+ci))
 			want := matVec(m, x)
 			top := tc.params.MaxLevel()
@@ -241,8 +289,8 @@ func TestLinearTransformMatchesReference(t *testing.T) {
 				if got.Level != level-1 {
 					t.Fatalf("level %d: output at level %d, want %d", level, got.Level, level-1)
 				}
-				ref := referenceLinearTransform(t, f, ct, lt)
-				gotSlots, refSlots := f.decrypt(got), f.decrypt(ref)
+				gotSlots := f.decrypt(got)
+				refSlots := f.decrypt(referenceLinearTransform(t, f, ref, ct, lt))
 				if e := maxSlotError(gotSlots, want); e > 1e-6 {
 					t.Fatalf("level %d: max slot error %g against the plaintext product", level, e)
 				}
@@ -255,6 +303,11 @@ func TestLinearTransformMatchesReference(t *testing.T) {
 			}
 			if n := len(lt.cache); n != 2 {
 				t.Errorf("transform caches %d entries after two input levels, want 2", n)
+			}
+			for key, e := range lt.cache {
+				if len(e.giants) != tc.giants {
+					t.Errorf("level %d: split into %d giant steps, want %d", key.level, len(e.giants), tc.giants)
+				}
 			}
 		})
 	}
@@ -305,6 +358,108 @@ func TestLinearTransformMatchesReference(t *testing.T) {
 	})
 }
 
+// TestLinearTransformRotationKeyCounts pins how many rotation keys the
+// application transforms need under the baby-step giant-step split, against
+// the one key per non-zero diagonal they needed before it, and checks that
+// Rotations() comes out ascending and free of duplicates.
+func TestLinearTransformRotationKeyCounts(t *testing.T) {
+	perDiagonal := func(lts ...*LinearTransform) int {
+		steps := map[int]bool{}
+		for _, lt := range lts {
+			for d := range lt.Diags {
+				if d != 0 {
+					steps[d] = true
+				}
+			}
+		}
+		return len(steps)
+	}
+	union := func(lts ...*LinearTransform) []int {
+		var steps []int
+		for _, lt := range lts {
+			rots := lt.Rotations()
+			if !slices.IsSorted(rots) || len(slices.Compact(slices.Clone(rots))) != len(rots) {
+				t.Fatalf("Rotations() = %v, want ascending and distinct", rots)
+			}
+			steps = append(steps, rots...)
+		}
+		slices.Sort(steps)
+		return slices.Compact(steps)
+	}
+
+	bridge, err := GenParams(9, 3, 2, 2, 45, 42, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bctx, err := NewContext(bridge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := EncodingMatrices(bctx)
+	s2c, err := NewLinearTransformFromMatrix(v, bridge.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lola, err := NewLinearTransformFromMatrix(randomMatrix(8, 16, 61), TestParams().Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	btctx, _, _ := bootstrapContext(t)
+	v, vinv := EncodingMatrices(btctx)
+	c2s, err := NewLinearTransformFromMatrix(vinv, btctx.Params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs2c, err := NewLinearTransformFromMatrix(v, btctx.Params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name          string
+		lts           []*LinearTransform
+		before, after int
+	}{
+		// The dense 256×256 V splits as 16 baby steps by 16 giant steps.
+		{"bridge SlotToCoeff, N=2^9", []*LinearTransform{s2c}, 255, 30},
+		// Diagonals −7 … 15: baby steps 1 … 7, giant steps 8 and −8.
+		{"lola 16→8, TestParams", []*LinearTransform{lola}, 22, 9},
+		// Two dense 32×32 transforms: 8 baby steps by 4 giant steps each.
+		{"bootstrap CoeffToSlot ∪ SlotToCoeff, N=2^6", []*LinearTransform{c2s, bs2c}, 31, 10},
+	} {
+		if got := perDiagonal(tc.lts...); got != tc.before {
+			t.Errorf("%s: %d non-zero diagonals, want %d", tc.name, got, tc.before)
+		}
+		if got := len(union(tc.lts...)); got != tc.after {
+			t.Errorf("%s: %d rotation keys, want %d (one per diagonal: %d)", tc.name, got, tc.after, tc.before)
+		}
+	}
+}
+
+// TestBSGSLinearTransformAllocFree pins a warm transform with several giant
+// steps at zero allocations: the baby-step polynomials come from the arenas
+// and the slice that holds them from the cache entry's pool.
+func TestBSGSLinearTransformAllocFree(t *testing.T) {
+	params := TestParams()
+	lt, err := NewLinearTransformFromMatrix(randomMatrix(8, 16, 61), params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newLTFixture(t, params, lt.Rotations(), 97)
+	ct := f.encrypt(t, ltInput(params.Slots(), 16, 98), params.MaxLevel())
+	eval := func() {
+		out, err := f.ev.EvalLinearTransform(ct, lt, f.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ctx.Recycle(out)
+	}
+	eval() // warm: fills the cache and the arenas
+	if n := testing.AllocsPerRun(10, eval); n != 0 {
+		t.Errorf("warm three-giant-step EvalLinearTransform+Recycle allocates %.1f per op, want 0", n)
+	}
+}
+
 // TestConcurrentLinearTransformFirstUse runs one shared, not yet cached
 // transform from four goroutines at once, as the bridge does with its
 // SlotToCoeff transform: the plaintexts are built once and every result is
@@ -350,6 +505,27 @@ func TestConcurrentLinearTransformFirstUse(t *testing.T) {
 	}
 	if n := len(shared.cache); n != 1 {
 		t.Errorf("transform caches %d entries after one level, want 1", n)
+	}
+}
+
+// TestLinearTransformMissingKey drops each of a transform's rotation keys in
+// turn: the evaluation must name the missing step instead of panicking,
+// whether the step is a baby step or a giant step.
+func TestLinearTransformMissingKey(t *testing.T) {
+	params := TestParams()
+	lt, err := NewLinearTransformFromMatrix(randomMatrix(8, 16, 61), params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newLTFixture(t, params, nil, 99)
+	ct := f.encrypt(t, ltInput(params.Slots(), 16, 100), params.MaxLevel())
+	rots := lt.Rotations()
+	for i, step := range rots {
+		ev := NewEvaluator(f.ctx, f.kg.GenEvaluationKeySet(f.sk, slices.Delete(slices.Clone(rots), i, i+1), false))
+		_, err := ev.EvalLinearTransform(ct, lt, f.enc)
+		if want := fmt.Sprintf("rotation key for step %d missing", step); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("without step %d: err = %v, want %q", step, err, want)
+		}
 	}
 }
 
