@@ -111,7 +111,7 @@ func TestSchemeOutputsGolden(t *testing.T) {
 		"mulrelin":                    "5287c09bd176bcb52dff5ffcd36bcc4c83f8f901298dd00c9997a29b88fa0431",
 		"rotate":                      "d5ecf32a5a9eda90dd087a5d4b7bb580d0b0fa39b13730b1f5e5a21f5ef14a87",
 		"rotate-hoisted":              "84d7facdc051a4c9d9546a660c0800d3672b511571a930645307c139a0862a94",
-		"linear-transform":            "cc8a733285708d495ffb93aad4469b4c8f2edc18abe3ea3072a1aeb6e0390727",
+		"linear-transform":            "cbe50cfc827d96fa59e8ac3db143b0f5273fb1c7de72a6a719950b770128521f",
 		"linear-transform-bidiagonal": "4b3c38b09e213a78dbbe5f7adc16b9d7c2b5eceb829bf68cde517848bd129c87",
 		"rescale":                     "b23fb92d488cf9f3c58c2d1670346f9c449760816269d0dd3b70cccb2d2295ac",
 		"encrypt":                     "63cd9293814c17ebd3299c4cf6c03bb785f3a01a0eac14a45d691759185a9e19",
