@@ -9,12 +9,14 @@
 // Pipeline (ToLWE):
 //
 //  1. SlotToCoeff: homomorphically apply the encoding matrix V so each
-//     slot value moves into a polynomial coefficient. The transform is
-//     double-hoisted (ckks.EvalLinearTransform): one digit decomposition of
-//     the input is shared by every diagonal, each diagonal's keyswitch
-//     product is multiplied by its plaintext and summed over Q·P, and one
-//     ModDown pair closes the sum, so the bridge pays one ModUp and one
-//     ModDown pair instead of one of each per rotation. V's plaintexts are
+//     slot value moves into a polynomial coefficient. The transform is a
+//     double-hoisted baby-step giant-step sum (ckks.EvalLinearTransform):
+//     V's 256 diagonals at N=2^9 split into 16 baby steps by 16 giant
+//     steps. One digit decomposition of the input serves the 15 non-zero
+//     baby steps, each giant step's plaintext products are summed over Q·P,
+//     and each of the 15 non-zero giant steps pays one ModDown pair, one
+//     decomposition and one keyswitch. So the bridge holds 30 rotation keys
+//     instead of 255 and runs 30 keyswitches per ToLWE. V's plaintexts are
 //     encoded on the first ToLWE and cached in the transform, which
 //     concurrent ToLWE calls share.
 //  2. Level drop to the last CKKS modulus q0.
@@ -60,7 +62,7 @@ func New(ctx *ckks.Context, kg *ckks.KeyGenerator, sk *ckks.SecretKey, tf *tfhe.
 	if err != nil {
 		return nil, err
 	}
-	eks := kg.GenEvaluationKeySet(sk, ltS2C.Rotations(), true)
+	eks := kg.GenEvaluationKeySet(sk, ltS2C.Rotations(), false)
 
 	// The CKKS secret's signed coefficients form the source LWE key.
 	src := make([]int32, ctx.Params.N())
