@@ -108,8 +108,8 @@ type ltPlaintexts struct {
 	babies []int     // the non-zero baby steps, ascending
 	giants []ltGiant // ascending; giant step 0 first when it occurs
 	zero   bool      // some term uses baby step 0
-	// scratch holds one evaluation's baby-step ciphertexts: *[]*ring.Poly,
-	// four polynomials (B and A over Q, then over P) per baby step.
+	terms  int       // the most terms any giant step has
+	// scratch holds one evaluation's *ltScratch.
 	scratch sync.Pool
 }
 
@@ -119,7 +119,16 @@ type ltPlaintexts struct {
 type ltGiant struct {
 	step int
 	baby []int        // per term, the index into babies; -1 for baby step 0
-	q, p []*ring.Poly // per term, the plaintext over Q (levels 0..level) and P; p is nil for baby step 0
+	q    []*ring.Poly // per term, the plaintext over Q (levels 0..level)
+	p    []*ring.Poly // per term with a non-zero baby step, in order, the plaintext over P
+}
+
+// ltScratch is one evaluation's working set: four polynomials per baby
+// step (B and A over Q, then over P), borrowed from the arenas, and the
+// operand lists of one giant step's inner product.
+type ltScratch struct {
+	babies []*ring.Poly
+	kB, kA []*ring.Poly
 }
 
 // plaintexts returns the transform's cached plaintexts for enc's context at
@@ -181,7 +190,7 @@ func (e *ltPlaintexts) build(diags map[int][]complex128, enc *Encoder, level int
 			e.zero = true
 			giant.baby = append(giant.baby, -1)
 			giant.q = append(giant.q, pq)
-			giant.p = append(giant.p, nil)
+			e.terms = max(e.terms, len(giant.q))
 			continue
 		}
 		pp := rp.NewPoly(levelP)
@@ -194,6 +203,7 @@ func (e *ltPlaintexts) build(diags map[int][]complex128, enc *Encoder, level int
 		giant.baby = append(giant.baby, bi)
 		giant.q = append(giant.q, pq)
 		giant.p = append(giant.p, pp)
+		e.terms = max(e.terms, len(giant.q))
 	}
 	return nil
 }
@@ -301,16 +311,18 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform, en
 		pA = rq.Borrow(level)
 		ev.nttTimesP(level, ct.A, pA)
 	}
-	babies := pts.borrowBabies(ev, ct, pB)
+	sc := pts.borrowScratch(ev, ct, pB)
 	for gi := range pts.giants {
 		g := &pts.giants[gi]
 		if g.step == 0 {
-			g.accumulate(rq, rp, level, *babies, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
+			// Giant step 0 comes first, so its sum may overwrite the
+			// accumulators.
+			g.innerProduct(rq, rp, level, sc, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
 			continue
 		}
-		ev.giantStep(g, level, *babies, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
+		ev.giantStep(g, level, sc, pB, pA, acc0Q, acc1Q, acc0P, acc1P)
 	}
-	pts.releaseBabies(babies, ev)
+	pts.releaseScratch(sc, ev)
 	rq.Release(pB)
 	rq.Release(pA)
 
@@ -354,43 +366,45 @@ func (ev *Evaluator) hasRotationKey(step int) error {
 	return nil
 }
 
-// borrowBabies rotates ct by every baby step over Q·P against one shared
-// decomposition of ct.A, given bP = P·B in the NTT domain. It returns four
-// polynomials per baby step (B and A over Q, then over P), all from the
-// arenas; releaseBabies hands them back.
-func (e *ltPlaintexts) borrowBabies(ev *Evaluator, ct *Ciphertext, bP *ring.Poly) *[]*ring.Poly {
-	s, ok := e.scratch.Get().(*[]*ring.Poly)
+// borrowScratch rotates ct by every baby step over Q·P against one shared
+// decomposition of ct.A, given pB = P·B in the NTT domain, into a scratch
+// whose polynomials come from the arenas; releaseScratch hands them back.
+func (e *ltPlaintexts) borrowScratch(ev *Evaluator, ct *Ciphertext, pB *ring.Poly) *ltScratch {
+	sc, ok := e.scratch.Get().(*ltScratch)
 	if !ok {
-		buf := make([]*ring.Poly, 4*len(e.babies))
-		s = &buf
+		sc = &ltScratch{
+			babies: make([]*ring.Poly, 4*len(e.babies)),
+			kB:     make([]*ring.Poly, 0, e.terms),
+			kA:     make([]*ring.Poly, 0, e.terms),
+		}
 	}
 	if len(e.babies) == 0 {
-		return s
+		return sc
 	}
-	babies := *s
+	babies := sc.babies
 	rq, rp := ev.ctx.RQ, ev.ctx.RP
 	level, levelP := ct.Level, rp.MaxLevel()
 	dec := ev.DecomposeOnce(level, ct.A)
 	for i, step := range e.babies {
-		babies[4*i], babies[4*i+1] = rq.Borrow(level), rq.Borrow(level)     //alchemist:owns releaseBabies returns the baby steps to the arenas
-		babies[4*i+2], babies[4*i+3] = rp.Borrow(levelP), rp.Borrow(levelP) //alchemist:owns releaseBabies returns the baby steps to the arenas
-		ev.rotateQP(dec, bP, step, babies[4*i], babies[4*i+1], babies[4*i+2], babies[4*i+3])
+		babies[4*i], babies[4*i+1] = rq.Borrow(level), rq.Borrow(level)     //alchemist:owns releaseScratch returns the baby steps to the arenas
+		babies[4*i+2], babies[4*i+3] = rp.Borrow(levelP), rp.Borrow(levelP) //alchemist:owns releaseScratch returns the baby steps to the arenas
+		ev.rotateQP(dec, pB, step, babies[4*i], babies[4*i+1], babies[4*i+2], babies[4*i+3])
 	}
 	ev.ReleaseDecomposition(dec)
-	return s
+	return sc
 }
 
-// releaseBabies returns borrowBabies' polynomials to the arenas.
-func (e *ltPlaintexts) releaseBabies(babies *[]*ring.Poly, ev *Evaluator) {
+// releaseScratch returns borrowScratch's polynomials to the arenas.
+func (e *ltPlaintexts) releaseScratch(sc *ltScratch, ev *Evaluator) {
 	rq, rp := ev.ctx.RQ, ev.ctx.RP
-	for i, p := range *babies {
+	for i, p := range sc.babies {
 		if i%4 < 2 {
 			rq.Release(p)
 		} else {
 			rp.Release(p)
 		}
 	}
-	e.scratch.Put(babies)
+	e.scratch.Put(sc)
 }
 
 // rotateQP writes the rotation of (B, A) by step over Q·P in the NTT domain
@@ -412,23 +426,32 @@ func (ev *Evaluator) rotateQP(d *rlwe.Decomposition, bP *ring.Poly, step int, ou
 	rq.Release(rot)
 }
 
-// accumulate adds the giant step's inner product Σ_b pt_{g,b} ⊙ baby_b over
-// Q·P into the accumulators (acc0Q, acc1Q) over Q and (acc0P, acc1P) over P.
-// Baby step 0 is the input itself: pB = P·B and pA = P·A over Q, zero over
-// P.
-func (g *ltGiant) accumulate(rq, rp *ring.Ring, level int, babies []*ring.Poly, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
-	levelP := rp.MaxLevel()
-	for t, bi := range g.baby {
+// innerProduct writes the giant step's inner product Σ_b pt_{g,b} ⊙ baby_b
+// over Q·P into (acc0Q, acc1Q) over Q and (acc0P, acc1P) over P, which it
+// overwrites. Baby step 0 is the input itself: pB = P·B and pA = P·A over
+// Q, zero over P. Each basis is one KSAccumulate: the plaintexts play the
+// digits and the baby steps' halves the key halves, so every coefficient's
+// two sums stay unreduced across the terms and are folded once.
+func (g *ltGiant) innerProduct(rq, rp *ring.Ring, level int, sc *ltScratch, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
+	kB, kA := sc.kB[:0], sc.kA[:0]
+	for _, bi := range g.baby {
 		if bi < 0 {
-			rq.MulCoeffsAndAdd(level, pB, g.q[t], acc0Q)
-			rq.MulCoeffsAndAdd(level, pA, g.q[t], acc1Q)
+			kB, kA = append(kB, pB), append(kA, pA)
 			continue
 		}
-		rq.MulCoeffsAndAdd(level, babies[4*bi], g.q[t], acc0Q)
-		rq.MulCoeffsAndAdd(level, babies[4*bi+1], g.q[t], acc1Q)
-		rp.MulCoeffsAndAdd(levelP, babies[4*bi+2], g.p[t], acc0P)
-		rp.MulCoeffsAndAdd(levelP, babies[4*bi+3], g.p[t], acc1P)
+		kB, kA = append(kB, sc.babies[4*bi]), append(kA, sc.babies[4*bi+1])
 	}
+	rq.KSAccumulate(level, g.q, kB, kA, 0, false, acc0Q, acc1Q)
+	if len(g.p) == 0 {
+		return
+	}
+	kB, kA = kB[:0], kA[:0]
+	for _, bi := range g.baby {
+		if bi >= 0 {
+			kB, kA = append(kB, sc.babies[4*bi+2]), append(kA, sc.babies[4*bi+3])
+		}
+	}
+	rp.KSAccumulate(rp.MaxLevel(), g.p, kB, kA, 0, false, acc0P, acc1P)
 }
 
 // giantStep rotates a non-zero giant step's inner product by its step and
@@ -436,13 +459,13 @@ func (g *ltGiant) accumulate(rq, rp *ring.Ring, level int, babies []*ring.Poly, 
 // is brought down to Q by one ModDown pair, its A half decomposed, and the
 // rotation's keyswitch and P·φ_g(B) added over Q·P, where the transform's
 // final ModDown divides P out.
-func (ev *Evaluator) giantStep(g *ltGiant, level int, babies []*ring.Poly, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
+func (ev *Evaluator) giantStep(g *ltGiant, level int, sc *ltScratch, pB, pA, acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RQ, ctx.RP
 	levelP := rp.MaxLevel()
-	sumBQ, sumAQ := rq.BorrowZero(level), rq.BorrowZero(level)
+	sumBQ, sumAQ := rq.Borrow(level), rq.Borrow(level)
 	sumBP, sumAP := rp.BorrowZero(levelP), rp.BorrowZero(levelP)
-	g.accumulate(rq, rp, level, babies, pB, pA, sumBQ, sumAQ, sumBP, sumAP)
+	g.innerProduct(rq, rp, level, sc, pB, pA, sumBQ, sumAQ, sumBP, sumAP)
 	rq.INTT(level, sumBQ)
 	rq.INTT(level, sumAQ)
 	rp.INTT(levelP, sumBP)
