@@ -138,6 +138,7 @@ func RunLive(cfg LiveConfig) (*LiveSuite, error) {
 		func() error { return liveRing(cfg, workers, add) },
 		func() error { return liveCKKSKeyed(cfg, workers, add) },
 		func() error { return liveCKKSKeySwitch(cfg, workers, add) },
+		func() error { return liveCKKSLinearTransform(workers, add) },
 		func() error { return liveTFHE(cfg, add) },
 		func() error { return liveBGV(cfg, add) },
 		func() error { liveEngine(cfg, add); return nil },
@@ -357,6 +358,80 @@ func liveCKKSKeySwitch(cfg LiveConfig, workers int, add func(string, string, fun
 			}
 		}
 	})
+	return nil
+}
+
+// liveCKKSLinearTransform measures the baby-step giant-step linear
+// transform at its two application shapes: the LoLa 16→8 dense layer on the
+// functional-test parameters at the top level, and the cross-scheme
+// bridge's SlotToCoeff (the dense 256×256 encoding matrix V at N = 2^9) at
+// the level the bridge receives its input. Each evaluator holds exactly
+// the transform's Rotations() keys, and the warm-up evaluation outside the
+// timer fills the plaintext cache.
+func liveCKKSLinearTransform(workers int, add func(string, string, func(*testing.B))) error {
+	lola := ckks.TestParams()
+	bridge, err := ckks.GenParams(9, 3, 2, 2, 45, 42, 45)
+	if err != nil {
+		return err
+	}
+	w := make([][]complex128, 8)
+	rng := prng.New(3)
+	for i := range w {
+		w[i] = make([]complex128, 16)
+		for j := range w[i] {
+			w[i][j] = complex(2*rng.Float64()-1, 0)
+		}
+	}
+	for _, shape := range []struct {
+		name, label string
+		params      ckks.Parameters
+		level       int
+		matrix      func(*ckks.Context) [][]complex128
+	}{
+		{"ckks/linear-transform-lola", "N=2^11 L=5 16->8", lola, lola.MaxLevel(),
+			func(*ckks.Context) [][]complex128 { return w }},
+		{"ckks/linear-transform-bridge", "N=2^9 L=3 V 256x256", bridge, bridge.MaxLevel() - 1,
+			func(ctx *ckks.Context) [][]complex128 { v, _ := ckks.EncodingMatrices(ctx); return v }},
+	} {
+		ctx, err := ckks.NewContext(shape.params)
+		if err != nil {
+			return err
+		}
+		ctx.SetWorkers(workers)
+		lt, err := ckks.NewLinearTransformFromMatrix(shape.matrix(ctx), shape.params.Slots())
+		if err != nil {
+			return err
+		}
+		kg := ckks.NewKeyGenerator(ctx, 1)
+		sk := kg.GenSecretKey()
+		enc := ckks.NewEncoder(ctx)
+		et := ckks.NewEncryptor(ctx, kg.GenPublicKey(sk), 2)
+		ev := ckks.NewEvaluator(ctx, kg.GenEvaluationKeySet(sk, lt.Rotations(), false))
+		z := make([]complex128, shape.params.Slots())
+		for i := range z {
+			z[i] = complex(float64(i%7)/7, 0)
+		}
+		pt, err := enc.Encode(z, shape.level, shape.params.Scale)
+		if err != nil {
+			return err
+		}
+		ct := et.Encrypt(pt, shape.level, shape.params.Scale)
+		warm, err := ev.EvalLinearTransform(ct, lt, enc)
+		if err != nil {
+			return err
+		}
+		liveRecycle(ctx, warm)
+		add(shape.name, shape.label, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := ev.EvalLinearTransform(ct, lt, enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				liveRecycle(ctx, out)
+			}
+		})
+		ctx.Close()
+	}
 	return nil
 }
 
