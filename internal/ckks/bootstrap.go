@@ -67,18 +67,9 @@ func NewBootstrapper(ctx *Context, kg *KeyGenerator, sk *SecretKey, bp Bootstrap
 		return nil, err
 	}
 
-	rotSet := map[int]bool{}
-	for _, r := range ltC2S.Rotations() {
-		rotSet[r] = true
-	}
-	for _, r := range ltS2C.Rotations() {
-		rotSet[r] = true
-	}
-	rots := make([]int, 0, len(rotSet))
-	for r := range rotSet {
-		rots = append(rots, r)
-	}
-	eks := kg.GenEvaluationKeySet(sk, rots, true)
+	// GenEvaluationKeySet sorts the steps and skips repeats, so the two
+	// transforms' shared steps get one key each.
+	eks := kg.GenEvaluationKeySet(sk, append(ltC2S.Rotations(), ltS2C.Rotations()...), true)
 
 	bt := &Bootstrapper{
 		ctx:   ctx,
